@@ -156,7 +156,8 @@ fn live_workspace_entry_manifest_contains_the_declared_roots() {
         "core::StreamingSession::push_events_shared",
         "serve::SessionManager::push",
         "serve::Worker::run",
-        "wire::server::accept_loop",
+        "wire::listener::accept_loop",
+        "wire::server::serve_conn",
         "wire::server::read_loop",
         "wire::server::write_loop",
         "wire::server::route_events",

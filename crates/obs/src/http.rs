@@ -74,9 +74,8 @@ pub fn read_request(stream: &mut impl Read) -> Result<HttpRequest, RequestError>
             return Err(RequestError::Malformed("request head exceeds 8 KiB"));
         }
     };
-    let text = match std::str::from_utf8(head.get(..end).unwrap_or_default()) {
-        Ok(text) => text,
-        Err(_) => return Err(RequestError::Malformed("request head is not UTF-8")),
+    let Ok(text) = std::str::from_utf8(head.get(..end).unwrap_or_default()) else {
+        return Err(RequestError::Malformed("request head is not UTF-8"));
     };
     let (request, content_length) = parse_head(text)?;
     if content_length > MAX_BODY {

@@ -1,5 +1,6 @@
-//! The admin HTTP server: thread-per-connection over `std::net`, one
-//! request per connection (`Connection: close`), observing a
+//! The admin HTTP server: one request per connection (`Connection:
+//! close`) on the listener it shares with the wire front-end
+//! ([`echowrite_wire::Listener`]), observing a
 //! [`SessionManager`] through a [`Weak`] handle so the plane never keeps
 //! the serving layer alive — `WireServer::shutdown` still reclaims sole
 //! ownership, and every manager-backed endpoint degrades to `503` once
@@ -22,13 +23,11 @@
 use crate::http::{self, HttpRequest, Method, RequestError};
 use echowrite_serve::{flight_to_chrome_json, SessionInfo, SessionManager};
 use echowrite_trace::RecordingSink;
-use std::collections::BTreeMap;
+use echowrite_wire::Listener;
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, Weak};
-use std::thread::JoinHandle;
 
 /// Capacity of the recording sink installed by `POST /trace/start`.
 const TRACE_CAPACITY: usize = 65_536;
@@ -49,17 +48,10 @@ enum TraceState {
     Stopped(Arc<RecordingSink>),
 }
 
-/// State shared between the accept loop, connection handlers, and
-/// shutdown.
+/// State shared by the connection handlers.
 struct Shared {
     manager: Weak<SessionManager>,
-    /// Set once; the accept loop and handlers exit when they observe it.
-    shutting_down: AtomicBool,
     trace: Mutex<TraceState>,
-    /// conn id → socket, kept so shutdown can unblock parked readers.
-    conns: Mutex<BTreeMap<u64, TcpStream>>,
-    /// Handler join handles, drained at shutdown.
-    handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -69,14 +61,12 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 /// The admin plane: binds beside the wire listener and serves live
 /// introspection over plain HTTP/1.1 with only `std::net`.
 pub struct ObsServer {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl std::fmt::Debug for ObsServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsServer").field("addr", &self.addr).finish_non_exhaustive()
+        f.debug_struct("ObsServer").field("addr", &self.local_addr()).finish_non_exhaustive()
     }
 }
 
@@ -90,83 +80,21 @@ impl ObsServer {
     ///
     /// Socket bind failures.
     pub fn bind(addr: &str, manager: Weak<SessionManager>) -> std::io::Result<ObsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            manager,
-            shutting_down: AtomicBool::new(false),
-            trace: Mutex::new(TraceState::Off),
-            conns: Mutex::new(BTreeMap::new()),
-            handles: Mutex::new(Vec::new()),
-        });
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
-        Ok(ObsServer { addr, shared, accept: Some(accept) })
+        let shared = Arc::new(Shared { manager, trace: Mutex::new(TraceState::Off) });
+        let listener = Listener::bind(addr, move |stream, _| serve_conn(stream, &shared))?;
+        Ok(ObsServer { listener })
     }
 
     /// The bound socket address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Stops accepting, closes in-flight admin connections, and joins
     /// every handler thread. Does not touch the manager — the admin
     /// plane only ever observed it.
-    pub fn shutdown(mut self) {
-        // ordering: Release pairs with the Acquire loads in the accept
-        // loop and handlers — a thread that observes the flag also
-        // observes all state written before shutdown began.
-        self.shared.shutting_down.store(true, Ordering::Release);
-        // Unblock the accept loop with a throwaway connection; it checks
-        // the flag before serving what it accepted.
-        if let Ok(stream) = TcpStream::connect(self.addr) {
-            drop(stream);
-        }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for (_, stream) in lock(&self.shared.conns).iter() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        loop {
-            let Some(h) = lock(&self.shared.handles).pop() else { break };
-            let _ = h.join();
-        }
-    }
-}
-
-// echolint: entry
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut next_conn: u64 = 0;
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            // ordering: Acquire pairs with the Release store in shutdown.
-            if shared.shutting_down.load(Ordering::Acquire) {
-                return;
-            }
-            continue;
-        };
-        // ordering: Acquire pairs with the Release store in shutdown.
-        if shared.shutting_down.load(Ordering::Acquire) {
-            drop(stream);
-            return;
-        }
-        let conn_id = next_conn;
-        next_conn += 1;
-        let Ok(handle) = stream.try_clone() else {
-            continue;
-        };
-        lock(&shared.conns).insert(conn_id, handle);
-        let handler = {
-            let shared = Arc::clone(shared);
-            std::thread::spawn(move || {
-                serve_conn(stream, &shared);
-                lock(&shared.conns).remove(&conn_id);
-            })
-        };
-        lock(&shared.handles).push(handler);
+    pub fn shutdown(self) {
+        self.listener.shutdown();
     }
 }
 
@@ -174,14 +102,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// request answers `400` and terminates *this* connection only — the
 /// fuzz tests pin that isolation down.
 // echolint: entry
-fn serve_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let parsed = http::read_request(&mut stream);
-    // ordering: Acquire pairs with the Release store in shutdown.
-    if shared.shutting_down.load(Ordering::Acquire) {
-        let _ = stream.shutdown(Shutdown::Both);
-        return;
-    }
-    let (status, content_type, body) = match parsed {
+fn serve_conn(mut stream: TcpStream, shared: &Shared) {
+    let (status, content_type, body) = match http::read_request(&mut stream) {
         Ok(request) => {
             if let Some(manager) = shared.manager.upgrade() {
                 manager.metrics().obs_requests.inc();
@@ -207,7 +129,7 @@ fn serve_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
 }
 
 /// Maps one parsed request to `(status, content type, body)`.
-fn route(shared: &Arc<Shared>, request: &HttpRequest) -> (u16, &'static str, String) {
+fn route(shared: &Shared, request: &HttpRequest) -> (u16, &'static str, String) {
     let manager = shared.manager.upgrade();
     match (request.method, request.path.as_str()) {
         (Method::Get, "/metrics") => match manager {

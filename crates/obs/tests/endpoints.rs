@@ -6,10 +6,12 @@
 use echowrite::{EchoWrite, EchoWriteConfig, Parallelism};
 use echowrite_obs::ObsServer;
 use echowrite_serve::{Request, ServeConfig, SessionId, SessionManager};
+use echowrite_wire::{FrameDecoder, Response, WireClient, WireServer};
 use proptest::prelude::*;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn manager(cfg: ServeConfig) -> Arc<SessionManager> {
     let engine = EchoWrite::with_config(EchoWriteConfig::streaming());
@@ -165,6 +167,56 @@ fn trace_lifecycle_records_without_restart() {
     assert!(body.contains("\"push\""), "serve spans recorded: {body}");
 
     obs.shutdown();
+}
+
+/// An event whose session's opener has disconnected is an orphan: the
+/// wire router counts it, and `/metrics` shows it while the server runs.
+#[test]
+fn wire_orphan_events_show_in_metrics_before_shutdown() {
+    let engine = EchoWrite::with_config(EchoWriteConfig::streaming());
+    let manager = SessionManager::new(engine, one_shard()).expect("valid config");
+    let wire = WireServer::bind("127.0.0.1:0", manager).expect("bind wire");
+    let obs = ObsServer::bind("127.0.0.1:0", wire.manager_handle()).expect("bind obs");
+    let session = 41;
+
+    // Connection A opens the session and half-closes. Reading to EOF
+    // waits until the server has closed A, which it does only after
+    // dropping A's routing entries.
+    let mut a = TcpStream::connect(wire.local_addr()).expect("connect A");
+    let mut frame = Vec::new();
+    echowrite_wire::encode_request(&mut frame, &echowrite_wire::Request::Open { session }, 1);
+    a.write_all(&frame).expect("write open");
+    a.shutdown(Shutdown::Write).expect("half-close A");
+    let mut bytes = Vec::new();
+    a.read_to_end(&mut bytes).expect("read A to EOF");
+    let mut decoder = FrameDecoder::new();
+    decoder.extend(&bytes);
+    let verdict = decoder.next_response().expect("well-formed verdict");
+    assert!(matches!(verdict, Some(Response::Enqueued { .. })), "{verdict:?}");
+
+    // Connection B finishes a session it never opened: its `Finished`
+    // event has no connection to go to.
+    let mut b = WireClient::connect(wire.local_addr()).expect("connect B");
+    let verdict = b.request(&echowrite_wire::Request::Finish { session }).expect("verdict");
+    assert!(matches!(verdict, Response::Enqueued { .. }), "{verdict:?}");
+
+    let want = "echowrite_serve_wire_orphan_events_total 1\n";
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let body = loop {
+        let (status, body) = get(obs.local_addr(), "/metrics");
+        assert_eq!(status_code(&status), 200);
+        if body.contains(want) || Instant::now() > deadline {
+            break body;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(body.contains(want), "orphan not counted on the running server:\n{body}");
+
+    drop(b);
+    obs.shutdown();
+    let report = wire.shutdown();
+    assert_eq!(report.metrics.wire_orphan_events, 1);
+    assert_eq!(report.metrics.sessions_finished, 1);
 }
 
 proptest! {

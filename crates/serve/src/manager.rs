@@ -794,6 +794,12 @@ impl SessionManager {
         &self.metrics
     }
 
+    /// A shared handle to the metric registry, for a thread that records
+    /// into it but must not keep the manager itself alive.
+    pub fn metrics_handle(&self) -> Arc<ServeMetrics> {
+        Arc::clone(&self.metrics)
+    }
+
     /// Sessions currently live across all shards.
     pub fn live_sessions(&self) -> usize {
         self.admission.live()

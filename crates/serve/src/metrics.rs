@@ -30,68 +30,145 @@ pub const LATENCY_BUCKETS_US: [u64; 15] = [
     1_000_000, 2_500_000,
 ];
 
-/// The serving layer's metric registry: one instance per
-/// [`SessionManager`](crate::SessionManager), shared by the ingress path
-/// and every shard worker.
-#[derive(Debug)]
-pub struct ServeMetrics {
-    /// Sessions admitted and opened.
-    pub sessions_opened: Counter,
-    /// Sessions ended by an explicit finish.
-    pub sessions_finished: Counter,
-    /// Sessions reclaimed by the idle reaper.
-    pub sessions_reaped: Counter,
-    /// Sessions suspended into the snapshot store (reaper eviction,
-    /// explicit export, or a shutdown drain).
-    pub sessions_suspended: Counter,
-    /// Sessions resumed from the snapshot store (a thaw on `Open`/`Push`/
-    /// `Finish`, or an explicit import).
-    pub sessions_resumed: Counter,
-    /// Idempotent re-opens of an already-live session id (a retrying
-    /// client re-sending an `Open` whose ack it lost).
-    pub sessions_reopened: Counter,
-    /// Open attempts rejected by the admission controller.
-    pub sessions_shed: Counter,
-    /// Sessions currently live across all shards.
-    pub sessions_live: Gauge,
-    /// Audio chunks processed by shard workers.
-    pub pushes: Counter,
-    /// Pushes degraded to segment-only output by a missed deadline.
-    pub pushes_degraded: Counter,
-    /// Batched drain rounds executed by shard workers (each round runs up
-    /// to `batch_max` queued commands through one shared DSP scratch).
-    pub batch_drains: Counter,
-    /// Submissions rejected because the shard queue was full.
-    pub queue_full: Counter,
-    /// Commands addressed to a session no shard knows (never opened, shed,
-    /// already finished, or reaped).
-    pub orphan_commands: Counter,
-    /// Segment events emitted across all sessions.
-    pub events: Counter,
-    /// Commands currently sitting in shard queues.
-    pub queue_depth: Gauge,
-    /// TCP connections accepted by the wire front-end.
-    pub wire_connections: Counter,
-    /// Request frames decoded off wire sockets.
-    pub wire_frames_read: Counter,
-    /// Response frames written to wire sockets.
-    pub wire_frames_written: Counter,
-    /// Wire frames rejected as malformed (bad length, unknown kind,
-    /// truncated payload); each one closes its connection.
-    pub wire_malformed_frames: Counter,
-    /// Times a wire response had to wait because its connection's write
-    /// queue was full (a slow-reading client).
-    pub wire_write_stalls: Counter,
-    /// HTTP requests served by the `echowrite-obs` introspection plane.
-    pub obs_requests: Counter,
-    /// HTTP requests the introspection plane rejected as malformed; each
-    /// one closes only its own connection.
-    pub obs_malformed_requests: Counter,
-    /// Flight-recorder dump artifacts written by shard workers.
-    pub flight_dumps: Counter,
-    /// End-to-end push latency (enqueue to processed), µs.
-    pub push_latency_us: Histogram,
-    started: Instant,
+/// Expands the scalar-metric table below into [`ServeMetrics`],
+/// [`MetricsSnapshot`], `ServeMetrics::{new, snapshot}` and the
+/// counter/gauge part of the exposition. A row is
+/// `kind field "family" "help";`, where `kind` (`counter` or `gauge`) is
+/// both the Prometheus type and the [`PromWriter`] method that renders it.
+/// The latency histogram and uptime clock are the only hand-written
+/// members.
+macro_rules! serve_metrics {
+    (@type counter) => { Counter };
+    (@type gauge) => { Gauge };
+    ($($kind:ident $field:ident $family:literal $help:literal;)*) => {
+        /// The serving layer's metric registry: one instance per
+        /// [`SessionManager`](crate::SessionManager), shared by the ingress
+        /// path and every shard worker.
+        #[derive(Debug)]
+        pub struct ServeMetrics {
+            $(#[doc = $help] pub $field: serve_metrics!(@type $kind),)*
+            /// End-to-end push latency (enqueue to processed), µs.
+            pub push_latency_us: Histogram,
+            started: Instant,
+        }
+
+        /// A point-in-time copy of [`ServeMetrics`].
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct MetricsSnapshot {
+            $(#[doc = $help] pub $field: u64,)*
+            /// Push-latency observation count.
+            pub push_latency_count: u64,
+            /// Push-latency sum, µs (saturating).
+            pub push_latency_sum_us: u64,
+            /// Push-latency per-bucket counts (non-cumulative, `+Inf` last).
+            pub push_latency_buckets: Vec<u64>,
+            /// Observations that exceeded every finite bucket bound.
+            pub push_latency_overflow: u64,
+            /// Upper bound (µs) of the bucket holding the p99 push latency.
+            pub push_latency_p99_us: Option<u64>,
+            /// Seconds since the registry was created.
+            pub uptime_seconds: f64,
+        }
+
+        impl ServeMetrics {
+            /// Creates a zeroed registry.
+            pub fn new() -> Self {
+                ServeMetrics {
+                    $($field: Default::default(),)*
+                    push_latency_us: Histogram::new(&LATENCY_BUCKETS_US),
+                    // echolint: allow(determinism) -- observability-only uptime stamp; nothing downstream branches on it
+                    started: Instant::now(),
+                }
+            }
+
+            /// A point-in-time copy of every metric.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($field: self.$field.get(),)*
+                    push_latency_count: self.push_latency_us.count(),
+                    push_latency_sum_us: self.push_latency_us.sum(),
+                    push_latency_buckets: self.push_latency_us.bucket_counts(),
+                    push_latency_overflow: self.push_latency_us.overflow_count(),
+                    push_latency_p99_us: self.push_latency_us.quantile_upper_bound(0.99),
+                    uptime_seconds: self.uptime_seconds(),
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// `# HELP`, `# TYPE` and the sample of every table row.
+            fn write_scalars(&self, w: &mut PromWriter) {
+                $(w.$kind($family, $help, self.$field);)*
+            }
+        }
+
+        /// Every table row as (family, Prometheus type, snapshot field).
+        #[cfg(test)]
+        const SCALAR_ROWS: &[(&str, &str, fn(&mut MetricsSnapshot) -> &mut u64)] =
+            &[$(($family, stringify!($kind), |s| &mut s.$field)),*];
+    };
+}
+
+serve_metrics! {
+    counter sessions_opened "echowrite_serve_sessions_opened_total"
+        "Sessions admitted and opened.";
+    counter sessions_finished "echowrite_serve_sessions_finished_total"
+        "Sessions ended by an explicit finish.";
+    counter sessions_reaped "echowrite_serve_sessions_reaped_total"
+        "Sessions reclaimed by the idle reaper.";
+    // Reaper eviction, explicit export, or a shutdown drain.
+    counter sessions_suspended "echowrite_serve_sessions_suspended_total"
+        "Sessions suspended into the snapshot store.";
+    // A thaw on `Open`/`Push`/`Finish`, or an explicit import.
+    counter sessions_resumed "echowrite_serve_sessions_resumed_total"
+        "Sessions resumed from the snapshot store.";
+    // A retrying client re-sending an `Open` whose ack it lost.
+    counter sessions_reopened "echowrite_serve_sessions_reopened_total"
+        "Idempotent re-opens of an already-live session id.";
+    counter sessions_shed "echowrite_serve_sessions_shed_total"
+        "Open attempts rejected by the admission controller.";
+    gauge sessions_live "echowrite_serve_sessions_live"
+        "Sessions currently live across all shards.";
+    counter pushes "echowrite_serve_pushes_total"
+        "Audio chunks processed by shard workers.";
+    counter pushes_degraded "echowrite_serve_pushes_degraded_total"
+        "Pushes degraded to segment-only output by a missed deadline.";
+    // Each round runs up to `batch_max` queued commands through one
+    // shared DSP scratch.
+    counter batch_drains "echowrite_serve_batch_drains_total"
+        "Batched drain rounds executed by shard workers.";
+    counter queue_full "echowrite_serve_queue_full_total"
+        "Submissions rejected because the shard queue was full.";
+    // Never opened, shed, already finished, or reaped.
+    counter orphan_commands "echowrite_serve_orphan_commands_total"
+        "Commands addressed to a session no shard knows.";
+    counter events "echowrite_serve_events_total"
+        "Segment events emitted across all sessions.";
+    gauge queue_depth "echowrite_serve_queue_depth"
+        "Commands currently sitting in shard queues.";
+    counter wire_connections "echowrite_serve_wire_connections_total"
+        "TCP connections accepted by the wire front-end.";
+    counter wire_frames_read "echowrite_serve_wire_frames_read_total"
+        "Request frames decoded off wire sockets.";
+    counter wire_frames_written "echowrite_serve_wire_frames_written_total"
+        "Response frames written to wire sockets.";
+    // Bad length, unknown kind, truncated payload; each one closes its
+    // connection.
+    counter wire_malformed_frames "echowrite_serve_wire_malformed_frames_total"
+        "Wire frames rejected as malformed.";
+    // A slow-reading client, on the verdict path or the event router.
+    counter wire_write_stalls "echowrite_serve_wire_write_stalls_total"
+        "Wire responses that waited on a full connection write queue.";
+    // The connection that opened the session has closed.
+    counter wire_orphan_events "echowrite_serve_wire_orphan_events_total"
+        "Wire events dropped because no open connection owns their session.";
+    counter obs_requests "echowrite_serve_obs_requests_total"
+        "HTTP requests served by the introspection plane.";
+    // Each one closes only its own connection.
+    counter obs_malformed_requests "echowrite_serve_obs_malformed_requests_total"
+        "HTTP requests the introspection plane rejected as malformed.";
+    counter flight_dumps "echowrite_serve_flight_dumps_total"
+        "Flight-recorder dump artifacts written by shard workers.";
 }
 
 impl Default for ServeMetrics {
@@ -101,38 +178,6 @@ impl Default for ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Creates a zeroed registry.
-    pub fn new() -> Self {
-        ServeMetrics {
-            sessions_opened: Counter::default(),
-            sessions_finished: Counter::default(),
-            sessions_reaped: Counter::default(),
-            sessions_suspended: Counter::default(),
-            sessions_resumed: Counter::default(),
-            sessions_reopened: Counter::default(),
-            sessions_shed: Counter::default(),
-            sessions_live: Gauge::default(),
-            pushes: Counter::default(),
-            pushes_degraded: Counter::default(),
-            batch_drains: Counter::default(),
-            queue_full: Counter::default(),
-            orphan_commands: Counter::default(),
-            events: Counter::default(),
-            queue_depth: Gauge::default(),
-            wire_connections: Counter::default(),
-            wire_frames_read: Counter::default(),
-            wire_frames_written: Counter::default(),
-            wire_malformed_frames: Counter::default(),
-            wire_write_stalls: Counter::default(),
-            obs_requests: Counter::default(),
-            obs_malformed_requests: Counter::default(),
-            flight_dumps: Counter::default(),
-            push_latency_us: Histogram::new(&LATENCY_BUCKETS_US),
-            // echolint: allow(determinism) -- observability-only uptime stamp; nothing downstream branches on it
-            started: Instant::now(),
-        }
-    }
-
     /// Seconds since the registry was created (wall clock; observability
     /// only).
     pub fn uptime_seconds(&self) -> f64 {
@@ -140,108 +185,10 @@ impl ServeMetrics {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// A point-in-time copy of every metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            sessions_opened: self.sessions_opened.get(),
-            sessions_finished: self.sessions_finished.get(),
-            sessions_reaped: self.sessions_reaped.get(),
-            sessions_suspended: self.sessions_suspended.get(),
-            sessions_resumed: self.sessions_resumed.get(),
-            sessions_reopened: self.sessions_reopened.get(),
-            sessions_shed: self.sessions_shed.get(),
-            sessions_live: self.sessions_live.get(),
-            pushes: self.pushes.get(),
-            pushes_degraded: self.pushes_degraded.get(),
-            batch_drains: self.batch_drains.get(),
-            queue_full: self.queue_full.get(),
-            orphan_commands: self.orphan_commands.get(),
-            events: self.events.get(),
-            queue_depth: self.queue_depth.get(),
-            wire_connections: self.wire_connections.get(),
-            wire_frames_read: self.wire_frames_read.get(),
-            wire_frames_written: self.wire_frames_written.get(),
-            wire_malformed_frames: self.wire_malformed_frames.get(),
-            wire_write_stalls: self.wire_write_stalls.get(),
-            obs_requests: self.obs_requests.get(),
-            obs_malformed_requests: self.obs_malformed_requests.get(),
-            flight_dumps: self.flight_dumps.get(),
-            push_latency_count: self.push_latency_us.count(),
-            push_latency_sum_us: self.push_latency_us.sum(),
-            push_latency_buckets: self.push_latency_us.bucket_counts(),
-            push_latency_overflow: self.push_latency_us.overflow_count(),
-            push_latency_p99_us: self.push_latency_us.quantile_upper_bound(0.99),
-            uptime_seconds: self.uptime_seconds(),
-        }
-    }
-
     /// Prometheus-style text exposition of the whole registry.
     pub fn to_prometheus(&self) -> String {
         self.snapshot().to_prometheus()
     }
-}
-
-/// A point-in-time copy of [`ServeMetrics`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Sessions admitted and opened.
-    pub sessions_opened: u64,
-    /// Sessions ended by an explicit finish.
-    pub sessions_finished: u64,
-    /// Sessions reclaimed by the idle reaper.
-    pub sessions_reaped: u64,
-    /// Sessions suspended into the snapshot store.
-    pub sessions_suspended: u64,
-    /// Sessions resumed from the snapshot store.
-    pub sessions_resumed: u64,
-    /// Idempotent re-opens of an already-live session id.
-    pub sessions_reopened: u64,
-    /// Open attempts rejected by the admission controller.
-    pub sessions_shed: u64,
-    /// Sessions currently live across all shards.
-    pub sessions_live: u64,
-    /// Audio chunks processed by shard workers.
-    pub pushes: u64,
-    /// Pushes degraded to segment-only output by a missed deadline.
-    pub pushes_degraded: u64,
-    /// Batched drain rounds executed by shard workers.
-    pub batch_drains: u64,
-    /// Submissions rejected because the shard queue was full.
-    pub queue_full: u64,
-    /// Commands addressed to a session no shard knows.
-    pub orphan_commands: u64,
-    /// Segment events emitted across all sessions.
-    pub events: u64,
-    /// Commands currently sitting in shard queues.
-    pub queue_depth: u64,
-    /// TCP connections accepted by the wire front-end.
-    pub wire_connections: u64,
-    /// Request frames decoded off wire sockets.
-    pub wire_frames_read: u64,
-    /// Response frames written to wire sockets.
-    pub wire_frames_written: u64,
-    /// Wire frames rejected as malformed.
-    pub wire_malformed_frames: u64,
-    /// Wire responses that waited on a full connection write queue.
-    pub wire_write_stalls: u64,
-    /// HTTP requests served by the introspection plane.
-    pub obs_requests: u64,
-    /// HTTP requests the introspection plane rejected as malformed.
-    pub obs_malformed_requests: u64,
-    /// Flight-recorder dump artifacts written by shard workers.
-    pub flight_dumps: u64,
-    /// Push-latency observation count.
-    pub push_latency_count: u64,
-    /// Push-latency sum, µs (saturating).
-    pub push_latency_sum_us: u64,
-    /// Push-latency per-bucket counts (non-cumulative, `+Inf` last).
-    pub push_latency_buckets: Vec<u64>,
-    /// Observations that exceeded every finite bucket bound.
-    pub push_latency_overflow: u64,
-    /// Upper bound (µs) of the bucket holding the p99 push latency.
-    pub push_latency_p99_us: Option<u64>,
-    /// Seconds since the registry was created.
-    pub uptime_seconds: f64,
 }
 
 impl MetricsSnapshot {
@@ -255,118 +202,7 @@ impl MetricsSnapshot {
             "Build metadata for the serving layer.",
             &[("crate", "echowrite-serve"), ("version", env!("CARGO_PKG_VERSION"))],
         );
-        let counters: [(&str, &str, u64); 21] = [
-            (
-                "echowrite_serve_sessions_opened_total",
-                "Sessions admitted and opened.",
-                self.sessions_opened,
-            ),
-            (
-                "echowrite_serve_sessions_finished_total",
-                "Sessions ended by an explicit finish.",
-                self.sessions_finished,
-            ),
-            (
-                "echowrite_serve_sessions_reaped_total",
-                "Sessions reclaimed by the idle reaper.",
-                self.sessions_reaped,
-            ),
-            (
-                "echowrite_serve_sessions_suspended_total",
-                "Sessions suspended into the snapshot store.",
-                self.sessions_suspended,
-            ),
-            (
-                "echowrite_serve_sessions_resumed_total",
-                "Sessions resumed from the snapshot store.",
-                self.sessions_resumed,
-            ),
-            (
-                "echowrite_serve_sessions_reopened_total",
-                "Idempotent re-opens of an already-live session id.",
-                self.sessions_reopened,
-            ),
-            (
-                "echowrite_serve_sessions_shed_total",
-                "Open attempts rejected by the admission controller.",
-                self.sessions_shed,
-            ),
-            ("echowrite_serve_pushes_total", "Audio chunks processed.", self.pushes),
-            (
-                "echowrite_serve_pushes_degraded_total",
-                "Pushes degraded to segment-only output by a missed deadline.",
-                self.pushes_degraded,
-            ),
-            (
-                "echowrite_serve_batch_drains_total",
-                "Batched drain rounds executed by shard workers.",
-                self.batch_drains,
-            ),
-            (
-                "echowrite_serve_queue_full_total",
-                "Submissions rejected because the shard queue was full.",
-                self.queue_full,
-            ),
-            (
-                "echowrite_serve_orphan_commands_total",
-                "Commands addressed to a session no shard knows.",
-                self.orphan_commands,
-            ),
-            ("echowrite_serve_events_total", "Segment events emitted.", self.events),
-            (
-                "echowrite_serve_wire_connections_total",
-                "TCP connections accepted by the wire front-end.",
-                self.wire_connections,
-            ),
-            (
-                "echowrite_serve_wire_frames_read_total",
-                "Request frames decoded off wire sockets.",
-                self.wire_frames_read,
-            ),
-            (
-                "echowrite_serve_wire_frames_written_total",
-                "Response frames written to wire sockets.",
-                self.wire_frames_written,
-            ),
-            (
-                "echowrite_serve_wire_malformed_frames_total",
-                "Wire frames rejected as malformed.",
-                self.wire_malformed_frames,
-            ),
-            (
-                "echowrite_serve_wire_write_stalls_total",
-                "Wire responses that waited on a full connection write queue.",
-                self.wire_write_stalls,
-            ),
-            (
-                "echowrite_serve_obs_requests_total",
-                "HTTP requests served by the introspection plane.",
-                self.obs_requests,
-            ),
-            (
-                "echowrite_serve_obs_malformed_requests_total",
-                "HTTP requests the introspection plane rejected as malformed.",
-                self.obs_malformed_requests,
-            ),
-            (
-                "echowrite_serve_flight_dumps_total",
-                "Flight-recorder dump artifacts written by shard workers.",
-                self.flight_dumps,
-            ),
-        ];
-        for (name, help, v) in counters {
-            w.counter(name, help, v);
-        }
-        w.gauge(
-            "echowrite_serve_sessions_live",
-            "Sessions currently live across all shards.",
-            self.sessions_live,
-        );
-        w.gauge(
-            "echowrite_serve_queue_depth",
-            "Commands currently sitting in shard queues.",
-            self.queue_depth,
-        );
+        self.write_scalars(&mut w);
         w.gauge_f64(
             "echowrite_serve_uptime_seconds",
             "Seconds since the metrics registry was created.",
@@ -481,6 +317,8 @@ mod tests {
         assert_eq!(h.quantile_upper_bound(1.0), Some(1_000_000), "tail resolves, not +Inf");
     }
 
+    /// Every table row renders its `# HELP`, its `# TYPE` and a sample
+    /// carrying its own snapshot field; family names are unique.
     #[test]
     fn prometheus_dump_has_every_family() {
         let m = ServeMetrics::new();
@@ -489,14 +327,6 @@ mod tests {
         m.queue_depth.set(7);
         let text = m.to_prometheus();
         for family in [
-            "echowrite_serve_sessions_opened_total",
-            "echowrite_serve_sessions_suspended_total",
-            "echowrite_serve_sessions_resumed_total",
-            "echowrite_serve_sessions_reopened_total",
-            "echowrite_serve_sessions_shed_total",
-            "echowrite_serve_wire_connections_total",
-            "echowrite_serve_wire_malformed_frames_total",
-            "echowrite_serve_wire_write_stalls_total",
             "echowrite_serve_pushes_total 1",
             "echowrite_serve_queue_depth 7",
             "echowrite_serve_push_latency_us_bucket{le=\"250\"} 1",
@@ -505,6 +335,26 @@ mod tests {
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }
+
+        let mut snap = m.snapshot();
+        for (value, (_, _, field)) in (1_000u64..).zip(SCALAR_ROWS) {
+            *field(&mut snap) = value;
+        }
+        let text = snap.to_prometheus();
+        for (value, (family, kind, _)) in (1_000u64..).zip(SCALAR_ROWS) {
+            assert!(text.contains(&format!("# HELP {family} ")), "no HELP for {family}:\n{text}");
+            assert!(
+                text.contains(&format!("# TYPE {family} {kind}\n")),
+                "no TYPE {kind} for {family}:\n{text}"
+            );
+            assert!(
+                text.contains(&format!("\n{family} {value}\n")),
+                "no sample {value} for {family}:\n{text}"
+            );
+        }
+        let unique: std::collections::BTreeSet<&str> =
+            SCALAR_ROWS.iter().map(|(family, _, _)| *family).collect();
+        assert_eq!(unique.len(), SCALAR_ROWS.len(), "a family name is declared twice");
     }
 
     /// The exposition format satellite: every family carries `# HELP` and

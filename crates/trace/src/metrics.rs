@@ -208,11 +208,8 @@ pub fn quantile_from_buckets(bounds: &[u64], bucket_counts: &[u64], q: f64) -> O
         }
         let lower = if i == 0 { 0 } else { bounds.get(i - 1).copied().unwrap_or(0) };
         if (seen + n) as f64 >= rank {
-            let upper = match bounds.get(i) {
-                Some(&b) => b,
-                // +Inf bucket: clamp to the last finite bound.
-                None => return Some(lower as f64),
-            };
+            // +Inf bucket: clamp to the last finite bound.
+            let Some(&upper) = bounds.get(i) else { return Some(lower as f64) };
             let into = (rank - seen as f64) / n as f64;
             return Some(lower as f64 + (upper - lower) as f64 * into);
         }

@@ -1,7 +1,7 @@
 //! `echowrite-wire` — a dependency-free TCP front-end over the
 //! [`echowrite_serve::SessionManager`] (DESIGN.md §6.9).
 //!
-//! Three modules:
+//! Four modules:
 //!
 //! - [`frame`] — the length-prefixed binary grammar: `Open`/`Push`/
 //!   `Finish` requests; `Enqueued`/`QueueFull`/`Shedding` verdicts and
@@ -9,8 +9,12 @@
 //!   DTW scores carried as raw IEEE-754 bits so wire transcripts are
 //!   bitwise identical to in-process [`echowrite_serve::SessionManager::submit`]
 //!   transcripts.
-//! - [`server`] — [`server::WireServer`]: accept/reader/writer/router
-//!   threads over only `std::net` + `std::thread`, propagating every
+//! - [`listener`] — [`listener::Listener`]: the bind / accept /
+//!   thread-per-connection / shutdown scaffold shared with the
+//!   `echowrite-obs` admin plane. It sets `TCP_NODELAY` on every accepted
+//!   socket and joins finished handler threads as it accepts new ones.
+//! - [`server`] — [`server::WireServer`]: reader/writer/router threads on
+//!   the shared listener, propagating every
 //!   [`echowrite_serve::SubmitVerdict`] back to the socket in request
 //!   order and shedding backpressure through bounded per-connection
 //!   write queues.
@@ -23,10 +27,12 @@
 
 pub mod client;
 pub mod frame;
+pub mod listener;
 pub mod server;
 
 pub use client::{ClientError, WireClient};
 pub use frame::{
     encode_request, encode_response, FrameDecoder, FrameError, Request, Response, MAX_FRAME_LEN,
 };
+pub use listener::Listener;
 pub use server::WireServer;

@@ -2,12 +2,13 @@
 //!
 //! Threads (all plain `std::thread`, no runtime):
 //!
-//! - **accept** — blocks on [`TcpListener::accept`], spawns a
-//!   reader/writer pair per connection.
-//! - **reader** (per connection) — reads raw bytes into a
+//! - **accept** — the shared [`Listener`]: binds, accepts, and runs one
+//!   connection handler per socket, reaping handlers as they finish.
+//! - **reader** (per connection, the handler) — reads raw bytes into a
 //!   [`FrameDecoder`], submits each decoded request to the shared
 //!   manager, and forwards the [`SubmitVerdict`] to the connection's
-//!   writer — so verdicts leave the socket in request order.
+//!   writer — so verdicts leave the socket in request order. It spawns
+//!   its writer and joins it before the connection ends.
 //! - **writer** (per connection) — drains a bounded response channel and
 //!   writes encoded frames to the socket. The bounded channel is the
 //!   backpressure boundary: a slow socket fills it, producers fall back
@@ -16,16 +17,19 @@
 //! - **router** — owns the manager's detached [`EventStream`] and routes
 //!   `Segment`/`Finished`/`Reaped` events to whichever connection opened
 //!   the session (last opener wins on cross-connection id reuse). The
-//!   router deliberately holds **no** reference to the manager, so
-//!   [`WireServer::shutdown`] can reclaim sole ownership and shut the
-//!   manager down — which disconnects the event stream and ends the
-//!   router.
+//!   router deliberately holds **no** reference to the manager, only to
+//!   its metric registry, so [`WireServer::shutdown`] can reclaim sole
+//!   ownership and shut the manager down — which disconnects the event
+//!   stream and ends the router.
 //!
 //! A malformed byte stream (bad length, unknown kind, grammar mismatch)
 //! closes its connection: a desynced length-prefixed stream cannot be
 //! re-synchronized, so the server never guesses.
+//!
+//! [`SubmitVerdict`]: echowrite_serve::SubmitVerdict
 
 use crate::frame::{FrameDecoder, Request as WireRequest, Response};
+use crate::listener::Listener;
 use echowrite_profile::Stopwatch;
 use echowrite_serve::{
     EventStream, FlightReason, Request, ServeMetrics, SessionId, SessionManager, ShutdownReport,
@@ -33,8 +37,7 @@ use echowrite_serve::{
 use echowrite_trace::{SmallStr, Stage, TICK_UNSET};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -44,39 +47,24 @@ const WRITE_QUEUE: usize = 256;
 /// Socket read buffer size.
 const READ_BUF: usize = 64 * 1024;
 
-/// State shared between the accept loop, connections, the router, and
-/// shutdown.
-struct Shared {
-    /// session id → (conn id, response channel) of the connection that
-    /// opened it.
-    registry: Mutex<BTreeMap<u64, (u64, SyncSender<Response>)>>,
-    /// conn id → socket handle, kept so shutdown can unblock readers.
-    conns: Mutex<BTreeMap<u64, TcpStream>>,
-    /// Reader/writer join handles, drained at shutdown.
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Set once; readers and the accept loop exit when they observe it.
-    shutting_down: AtomicBool,
-    /// Stalls hit by the router (it has no manager reference, so they are
-    /// folded into the wire metrics at shutdown).
-    router_stalls: AtomicU64,
-    /// Events the router dropped because no connection owned the session
-    /// (its opener already disconnected).
-    router_orphans: AtomicU64,
-}
+/// session id → (conn id, response channel) of the connection that
+/// opened it; shared by the connection handlers and the router.
+type Registry = Mutex<BTreeMap<u64, (u64, SyncSender<Response>)>>;
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Sends a response to a connection's writer, falling back from
-/// `try_send` to a blocking send when the bounded queue is full. Returns
-/// `false` when the writer is gone (connection closed).
-fn send_counted(tx: &SyncSender<Response>, resp: Response, stall: impl FnOnce()) -> bool {
+/// `try_send` to a blocking send (counted as a write stall) when the
+/// bounded queue is full. Returns `false` when the writer is gone
+/// (connection closed).
+fn send_counted(tx: &SyncSender<Response>, resp: Response, metrics: &ServeMetrics) -> bool {
     match tx.try_send(resp) {
         Ok(()) => true,
         Err(TrySendError::Disconnected(_)) => false,
         Err(TrySendError::Full(resp)) => {
-            stall();
+            metrics.wire_write_stalls.inc();
             tx.send(resp).is_ok()
         }
     }
@@ -85,11 +73,9 @@ fn send_counted(tx: &SyncSender<Response>, resp: Response, stall: impl FnOnce())
 /// A TCP front-end over one [`SessionManager`], serving the frame grammar
 /// of [`crate::frame`] on a loopback or LAN socket with only `std::net`.
 pub struct WireServer {
-    addr: SocketAddr,
     manager: Arc<SessionManager>,
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    router: Option<JoinHandle<()>>,
+    listener: Listener,
+    router: JoinHandle<()>,
 }
 
 impl WireServer {
@@ -107,33 +93,25 @@ impl WireServer {
                 "manager event stream already detached",
             ));
         };
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         let manager = Arc::new(manager);
-        let shared = Arc::new(Shared {
-            registry: Mutex::new(BTreeMap::new()),
-            conns: Mutex::new(BTreeMap::new()),
-            handles: Mutex::new(Vec::new()),
-            shutting_down: AtomicBool::new(false),
-            router_stalls: AtomicU64::new(0),
-            router_orphans: AtomicU64::new(0),
-        });
-
-        let router = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || route_events(events, &shared))
-        };
-        let accept = {
-            let shared = Arc::clone(&shared);
+        let registry: Arc<Registry> = Arc::new(Mutex::new(BTreeMap::new()));
+        let listener = {
             let manager = Arc::clone(&manager);
-            std::thread::spawn(move || accept_loop(&listener, &manager, &shared))
+            let registry = Arc::clone(&registry);
+            Listener::bind(addr, move |stream, conn_id| {
+                serve_conn(stream, conn_id, &manager, &registry);
+            })?
         };
-        Ok(WireServer { addr, manager, shared, accept: Some(accept), router: Some(router) })
+        let router = {
+            let metrics = manager.metrics_handle();
+            std::thread::spawn(move || route_events(&events, &registry, &metrics))
+        };
+        Ok(WireServer { manager, listener, router })
     }
 
     /// The bound socket address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// The underlying manager's metrics (includes the `wire_*` counters).
@@ -152,37 +130,14 @@ impl WireServer {
     /// Stops accepting, closes every connection, shuts the manager down,
     /// and returns its [`ShutdownReport`]. Idempotent with respect to
     /// clients: connections in flight observe a closed socket.
-    pub fn shutdown(mut self) -> ShutdownReport {
-        // ordering: Release pairs with the Acquire loads in the accept and
-        // reader loops — a thread that observes the flag also observes any
-        // state written before shutdown began.
-        self.shared.shutting_down.store(true, Ordering::Release);
-        // Unblock the accept loop with a throwaway connection; it checks
-        // the flag before serving what it accepted.
-        if let Ok(stream) = TcpStream::connect(self.addr) {
-            drop(stream);
-        }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // Kick every live connection off its blocking read.
-        for (_, stream) in lock(&self.shared.conns).iter() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        loop {
-            let Some(h) = lock(&self.shared.handles).pop() else { break };
-            let _ = h.join();
-        }
-        // ordering: Relaxed — independent statistics folded in after every
-        // producer thread has been joined.
-        self.manager
-            .metrics()
-            .wire_write_stalls
-            .add(self.shared.router_stalls.load(Ordering::Relaxed));
-
-        // Every reader/writer has dropped its Arc and the router never had
-        // one, so this is the sole remaining handle.
-        let report = match Arc::try_unwrap(self.manager) {
+    pub fn shutdown(self) -> ShutdownReport {
+        let WireServer { manager, listener, router } = self;
+        // Joins every connection handler (each joins its own writer) and
+        // drops the handler closure with its manager clone.
+        listener.shutdown();
+        // The router never had a manager reference, so this is the sole
+        // remaining handle.
+        let report = match Arc::try_unwrap(manager) {
             Ok(manager) => manager.shutdown(),
             // Unreachable after the joins above; return an empty report
             // rather than panicking in a shutdown path.
@@ -193,66 +148,33 @@ impl WireServer {
         };
         // Manager shutdown dropped the event senders, so the router's
         // stream has disconnected and the router has exited.
-        if let Some(h) = self.router.take() {
-            let _ = h.join();
-        }
+        let _ = router.join();
         report
     }
 }
 
+/// One connection: counts it, runs the writer on a scoped thread and the
+/// reader on this one, and returns once both have finished.
 // echolint: entry
-fn accept_loop(listener: &TcpListener, manager: &Arc<SessionManager>, shared: &Arc<Shared>) {
-    let mut next_conn: u64 = 0;
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            // ordering: Acquire pairs with the Release store in shutdown.
-            if shared.shutting_down.load(Ordering::Acquire) {
-                return;
-            }
-            continue;
-        };
-        // ordering: Acquire pairs with the Release store in shutdown.
-        if shared.shutting_down.load(Ordering::Acquire) {
-            drop(stream);
-            return;
-        }
-        let conn_id = next_conn;
-        next_conn += 1;
-        manager.metrics().wire_connections.inc();
-        if echowrite_trace::enabled() {
-            echowrite_trace::instant(
-                Stage::Wire,
-                "conn_accept",
-                TICK_UNSET,
-                SmallStr::from_display(conn_id),
-            );
-        }
-        let Ok(write_half) = stream.try_clone() else {
-            continue;
-        };
-        lock(&shared.conns).insert(conn_id, write_half);
-        let (tx, rx) = sync_channel::<Response>(WRITE_QUEUE);
-        let writer = {
-            let manager = Arc::clone(manager);
-            let Ok(write_stream) = stream.try_clone() else {
-                lock(&shared.conns).remove(&conn_id);
-                continue;
-            };
-            std::thread::spawn(move || write_loop(write_stream, &rx, &manager))
-        };
-        let reader = {
-            let manager = Arc::clone(manager);
-            let shared = Arc::clone(shared);
-            std::thread::spawn(move || {
-                read_loop(stream, conn_id, &tx, &manager, &shared);
-                drop(tx); // disconnects the writer once the registry is clean
-                lock(&shared.conns).remove(&conn_id);
-            })
-        };
-        let mut handles = lock(&shared.handles);
-        handles.push(writer);
-        handles.push(reader);
+fn serve_conn(stream: TcpStream, conn_id: u64, manager: &SessionManager, registry: &Registry) {
+    let metrics = manager.metrics();
+    metrics.wire_connections.inc();
+    if echowrite_trace::enabled() {
+        echowrite_trace::instant(
+            Stage::Wire,
+            "conn_accept",
+            TICK_UNSET,
+            SmallStr::from_display(conn_id),
+        );
     }
+    let Ok(write_half) = stream.try_clone() else { return };
+    let (tx, rx) = sync_channel::<Response>(WRITE_QUEUE);
+    std::thread::scope(|scope| {
+        scope.spawn(move || write_loop(write_half, &rx, metrics));
+        // The reader owns `tx`; dropping it at the end of the read loop
+        // (after the registry is clean) disconnects the writer.
+        read_loop(stream, conn_id, tx, manager, registry);
+    });
 }
 
 /// The per-connection read half: socket bytes → frames → manager
@@ -261,9 +183,9 @@ fn accept_loop(listener: &TcpListener, manager: &Arc<SessionManager>, shared: &A
 fn read_loop(
     mut stream: TcpStream,
     conn_id: u64,
-    tx: &SyncSender<Response>,
-    manager: &Arc<SessionManager>,
-    shared: &Arc<Shared>,
+    tx: SyncSender<Response>,
+    manager: &SessionManager,
+    registry: &Registry,
 ) {
     let metrics = manager.metrics();
     let mut decoder = FrameDecoder::new();
@@ -276,10 +198,6 @@ fn read_loop(
             Ok(0) | Err(_) => break 'conn,
             Ok(n) => n,
         };
-        // ordering: Acquire pairs with the Release store in shutdown.
-        if shared.shutting_down.load(Ordering::Acquire) {
-            break 'conn;
-        }
         let Some(bytes) = buf.get(..n) else { break 'conn };
         decoder.extend(bytes);
         if echowrite_trace::enabled() {
@@ -328,7 +246,7 @@ fn read_loop(
                 // arrive as soon as the shard processes the open (an
                 // imported session emits events the same way).
                 owned.insert(session);
-                lock(&shared.registry).insert(session, (conn_id, tx.clone()));
+                lock(registry).insert(session, (conn_id, tx.clone()));
             }
             let response = match req {
                 WireRequest::Open { .. } => Response::from_verdict(
@@ -361,14 +279,12 @@ fn read_loop(
                     ok: manager.import_session(SessionId(session), snapshot),
                 },
             };
-            if !send_counted(tx, response, || {
-                metrics.wire_write_stalls.inc();
-            }) {
+            if !send_counted(&tx, response, metrics) {
                 break 'conn;
             }
         }
     }
-    let mut registry = lock(&shared.registry);
+    let mut registry = lock(registry);
     for session in owned {
         // Only remove entries still pointing at this connection — a
         // reconnecting client may have re-registered the session already.
@@ -381,8 +297,7 @@ fn read_loop(
 /// The per-connection write half: response channel → encoded frames →
 /// socket.
 // echolint: entry
-fn write_loop(mut stream: TcpStream, rx: &Receiver<Response>, manager: &Arc<SessionManager>) {
-    let metrics = manager.metrics();
+fn write_loop(mut stream: TcpStream, rx: &Receiver<Response>, metrics: &ServeMetrics) {
     let mut out = Vec::with_capacity(4096);
     while let Ok(resp) = rx.recv() {
         let timer = Stopwatch::start();
@@ -409,18 +324,14 @@ fn write_loop(mut stream: TcpStream, rx: &Receiver<Response>, manager: &Arc<Sess
 /// no manager reference — exits when the manager's shutdown disconnects
 /// the stream.
 // echolint: entry
-fn route_events(events: EventStream, shared: &Arc<Shared>) {
+fn route_events(events: &EventStream, registry: &Registry, metrics: &ServeMetrics) {
     while let Some(event) = events.recv() {
         let resp = Response::from_event(event);
         let session = resp.session().0;
-        let Some((_, tx)) = lock(&shared.registry).get(&session).cloned() else {
-            // ordering: Relaxed — an independent statistic.
-            shared.router_orphans.fetch_add(1, Ordering::Relaxed);
+        let Some((_, tx)) = lock(registry).get(&session).cloned() else {
+            metrics.wire_orphan_events.inc();
             continue;
         };
-        let _ = send_counted(&tx, resp, || {
-            // ordering: Relaxed — an independent statistic.
-            shared.router_stalls.fetch_add(1, Ordering::Relaxed);
-        });
+        let _ = send_counted(&tx, resp, metrics);
     }
 }
