@@ -130,7 +130,7 @@ fn bench_stft(c: &mut Criterion) {
 /// Template matching: all six exact DTWs (`classify`) versus the
 /// LB_Keogh-ordered, early-abandoning search (`nearest`).
 fn bench_dtw(c: &mut Criterion) {
-    let lib = echowrite::templates::generate(&EchoWriteConfig::paper());
+    let lib = echowrite::templates::generate(&EchoWriteConfig::paper()).expect("paper config");
     // A realistic probe: a warped, perturbed copy of one template, long
     // enough that the O(n·m) DTW cost dominates.
     let base = lib.template(Stroke::S5).to_vec();

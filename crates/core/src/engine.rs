@@ -8,6 +8,34 @@ use echowrite_dtw::{Classification, ConfusionMatrix, DtwConfig, StrokeClassifier
 use echowrite_gesture::{InputScheme, Stroke};
 use echowrite_lang::{Candidate, CorrectionRules, Dictionary, NextWordPredictor, WordDecoder};
 use echowrite_profile::{Stopwatch, StrokeSegment};
+use std::fmt;
+
+/// Why an engine could not be built from a configuration
+/// ([`EchoWrite::try_with_config`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum EngineError {
+    /// The configuration failed [`EchoWriteConfig::validate`]; the message
+    /// names the first violated constraint.
+    InvalidConfig(String),
+    /// The canonical writer's rendering of this stroke produced no segment,
+    /// so the stroke has no template: the configuration's enhancement or
+    /// segmentation thresholds do not suit the signal level (for example a
+    /// `FixedScale` normalization far above the calibrated one).
+    NoTemplateSegment(Stroke),
+}
+
+impl fmt::Display for EngineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EngineError::InvalidConfig(msg) => write!(f, "invalid EchoWrite config: {msg}"),
+            EngineError::NoTemplateSegment(stroke) => {
+                write!(f, "template stroke {stroke} produced no segment")
+            }
+        }
+    }
+}
+
+impl std::error::Error for EngineError {}
 
 /// Result of stroke-level recognition on one audio trace.
 #[derive(Debug, Clone)]
@@ -84,10 +112,27 @@ impl EchoWrite {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid.
+    /// Panics if the configuration is invalid or leaves a stroke without a
+    /// template; [`EchoWrite::try_with_config`] returns those as errors.
     pub fn with_config(config: EchoWriteConfig) -> Self {
+        match EchoWrite::try_with_config(config) {
+            Ok(engine) => engine,
+            // echolint: allow(no-panic-path) -- documented `# Panics` contract; try_with_config is the fallible form
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Builds an engine with a custom configuration, or says why it cannot.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidConfig`] when the configuration fails
+    /// validation; [`EngineError::NoTemplateSegment`] when the canonical
+    /// rendering of a stroke yields no segment under it, so that stroke
+    /// would have no template.
+    pub fn try_with_config(config: EchoWriteConfig) -> Result<Self, EngineError> {
         let scheme = InputScheme::paper();
-        let lib = templates::generate(&config);
+        let lib = templates::generate(&config)?;
         let classifier = StrokeClassifier::new(lib)
             .with_config(DtwConfig::stroke_matching())
             .with_weights(config.match_weights)
@@ -95,13 +140,13 @@ impl EchoWrite {
         let dictionary = Dictionary::build(Lexicon::embedded(), &scheme);
         let decoder = WordDecoder::new(dictionary).with_top_k(config.top_k);
         let pipeline = Pipeline::new(config);
-        EchoWrite {
+        Ok(EchoWrite {
             pipeline,
             classifier,
             decoder,
             predictor: NextWordPredictor::embedded(),
             scheme,
-        }
+        })
     }
 
     /// Replaces the word decoder (custom dictionary, correction rules, or
@@ -316,5 +361,28 @@ mod tests {
         assert!(e.predictor().is_top_prediction("of", "the"));
         assert_eq!(e.scheme(), &InputScheme::paper());
         assert!(e.classifier().templates().max_len() > 5);
+    }
+
+    /// A normalization scale far above the calibrated one passes
+    /// `validate()`, but the canonical S6 then yields no segment: the
+    /// fallible constructor reports that stroke instead of panicking.
+    #[test]
+    fn untemplatable_config_is_a_typed_error() {
+        let mut config = EchoWriteConfig::streaming_downsampled(32);
+        config.enhance.normalization = echowrite_spectro::Normalization::FixedScale(90.0);
+        assert!(config.validate().is_ok());
+        let err = std::panic::catch_unwind(|| EchoWrite::try_with_config(config))
+            .expect("try_with_config must not panic")
+            .expect_err("no template for S6");
+        assert_eq!(err, EngineError::NoTemplateSegment(Stroke::S6));
+        assert_eq!(err.to_string(), "template stroke S6 produced no segment");
+    }
+
+    #[test]
+    fn invalid_config_is_a_typed_error() {
+        let mut config = EchoWriteConfig::paper();
+        config.top_k = 0;
+        let err = EchoWrite::try_with_config(config).expect_err("top_k 0 is invalid");
+        assert!(matches!(err, EngineError::InvalidConfig(ref m) if m.contains("top_k")), "{err}");
     }
 }

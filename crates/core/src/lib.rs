@@ -53,7 +53,7 @@ pub mod templates;
 pub mod text_session;
 
 pub use config::{EchoWriteConfig, Frontend, Parallelism, StreamingMode};
-pub use engine::{EchoWrite, StrokeRecognition, WordRecognition};
+pub use engine::{EchoWrite, EngineError, StrokeRecognition, WordRecognition};
 pub use pipeline::{Pipeline, StageTiming};
 pub use session_state::{
     ChainState, DownState, FrontState, IncrementalState, ReplayState, RestoreError, SessionBody,

@@ -82,9 +82,9 @@ const DEDUP_TOLERANCE_FRAMES: usize = 3;
 ///
 /// A serve shard that drains several sessions' pushes in one batch hands
 /// every session the same scratch via
-/// [`StreamingSession::push_events_shared`]: the windowed-frame, packed-FFT,
-/// and spectrum buffers stay hot in cache across the batch instead of
-/// ping-ponging between per-session arenas. The scratch is pure workspace —
+/// [`StreamingSession::push_events_shared`]: the packed-FFT buffer stays
+/// hot in cache across the batch instead of ping-ponging between
+/// per-session arenas. The scratch is pure workspace —
 /// it carries no state between frames or sessions — so the shared path is
 /// bitwise identical to the per-session one.
 ///

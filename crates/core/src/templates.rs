@@ -9,6 +9,7 @@
 //! stroke's segmented Doppler profile.
 
 use crate::config::EchoWriteConfig;
+use crate::engine::EngineError;
 use crate::pipeline::Pipeline;
 use echowrite_dtw::TemplateLibrary;
 use echowrite_gesture::{Stroke, Writer, WriterParams};
@@ -16,20 +17,28 @@ use echowrite_synth::{scene::BodyModel, DeviceProfile, EnvironmentProfile, Scene
 
 /// Generates the six canonical stroke templates under a configuration.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the configuration is invalid or a template cannot be segmented
-/// (which would indicate inconsistent thresholds).
-pub fn generate(config: &EchoWriteConfig) -> TemplateLibrary {
+/// Returns [`EngineError::InvalidConfig`] if the configuration fails
+/// validation, and [`EngineError::NoTemplateSegment`] for the first stroke
+/// whose canonical rendering yields no segment (thresholds inconsistent
+/// with the signal level).
+pub fn generate(config: &EchoWriteConfig) -> Result<TemplateLibrary, EngineError> {
     generate_for_writer(config, &WriterParams::canonical())
 }
 
 /// Generates templates for a custom canonical writer (e.g. a different
 /// writing-plane geometry). Randomness in the writer is ignored — the
 /// template writer must be deterministic, so jitter and tremor are zeroed.
-pub fn generate_for_writer(config: &EchoWriteConfig, writer: &WriterParams) -> TemplateLibrary {
-    // echolint: allow(no-panic-path) -- documented `# Panics` contract of generate()
-    config.validate().expect("invalid config for template generation");
+///
+/// # Errors
+///
+/// As [`generate`].
+pub fn generate_for_writer(
+    config: &EchoWriteConfig,
+    writer: &WriterParams,
+) -> Result<TemplateLibrary, EngineError> {
+    config.validate().map_err(EngineError::InvalidConfig)?;
     let params = WriterParams {
         duration_jitter: 0.0,
         amplitude_jitter: 0.0,
@@ -47,7 +56,8 @@ pub fn generate_for_writer(config: &EchoWriteConfig, writer: &WriterParams) -> T
     )
     .with_body(BodyModel::finger_only());
 
-    let pairs = Stroke::ALL.map(|stroke| {
+    let mut pairs = Vec::with_capacity(Stroke::ALL.len());
+    for stroke in Stroke::ALL {
         let perf = Writer::new(params.clone(), 0).write_stroke(stroke);
         let mic = scene.render(&perf.trajectory);
         let analysis = pipeline.analyze(&mic);
@@ -55,12 +65,11 @@ pub fn generate_for_writer(config: &EchoWriteConfig, writer: &WriterParams) -> T
             .segments
             .iter()
             .max_by_key(|s| s.len())
-            // echolint: allow(no-panic-path) -- documented `# Panics`: unsegmentable template means inconsistent thresholds
-            .unwrap_or_else(|| panic!("template stroke {stroke} produced no segment"));
-        (stroke, analysis.profile.slice(seg.start, seg.end).shifts().to_vec())
-    });
-    // echolint: allow(no-panic-path) -- Stroke::ALL.map yields exactly the six required templates
-    TemplateLibrary::new(pairs).expect("all six templates generated")
+            .ok_or(EngineError::NoTemplateSegment(stroke))?;
+        pairs.push((stroke, analysis.profile.slice(seg.start, seg.end).shifts().to_vec()));
+    }
+    // echolint: allow(no-panic-path) -- the loop above yields exactly the six required templates
+    Ok(TemplateLibrary::new(pairs).expect("all six templates generated"))
 }
 
 #[cfg(test)]
@@ -70,7 +79,7 @@ mod tests {
 
     #[test]
     fn generates_six_distinct_templates() {
-        let lib = generate(&EchoWriteConfig::paper());
+        let lib = generate(&EchoWriteConfig::paper()).expect("paper config");
         for (s, t) in lib.iter() {
             assert!(t.len() >= 5, "{s} template too short: {}", t.len());
         }
@@ -88,8 +97,8 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let cfg = EchoWriteConfig::paper();
-        let a = generate(&cfg);
-        let b = generate(&cfg);
+        let a = generate(&cfg).expect("paper config");
+        let b = generate(&cfg).expect("paper config");
         for s in Stroke::ALL {
             assert_eq!(a.template(s), b.template(s));
         }
@@ -97,7 +106,7 @@ mod tests {
 
     #[test]
     fn templates_have_expected_signs() {
-        let lib = generate(&EchoWriteConfig::paper());
+        let lib = generate(&EchoWriteConfig::paper()).expect("paper config");
         // S1 recedes (negative), S2 approaches (positive peak dominates).
         let peak = |t: &[f64]| {
             t.iter().fold((0.0f64, 0.0f64), |(mx, mn), &v| (mx.max(v), mn.min(v)))
@@ -110,7 +119,7 @@ mod tests {
 
     #[test]
     fn curved_templates_change_sign() {
-        let lib = generate(&EchoWriteConfig::paper());
+        let lib = generate(&EchoWriteConfig::paper()).expect("paper config");
         {
             let s = Stroke::S5;
             let t = lib.template(s);

@@ -417,8 +417,9 @@ impl BasebandStft {
         assert!(row_hi < size, "row_hi {row_hi} beyond fft size {size}");
         assert_eq!(out.len(), row_hi - row_lo + 1, "row output length mismatch");
         scratch.buf.resize(size, Complex::ZERO);
-        crate::kernels::scale_complex_into(&mut scratch.buf, frame, &self.window);
-        self.fft.forward(&mut scratch.buf);
+        // Each windowed sample goes straight to its bit-reversed slot.
+        let windowed = frame.iter().zip(&self.window).map(|(z, &w)| z.scale(w));
+        self.fft.forward_from(&mut scratch.buf, windowed);
         // fft-shift indexing: shifted row r reads FFT bin (r + size/2) % size.
         for (o, r) in out.iter_mut().zip(row_lo..=row_hi) {
             *o = scratch.buf[(r + size / 2) % size].norm() * self.scale;

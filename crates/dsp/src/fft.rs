@@ -3,7 +3,14 @@
 //! The paper performs an 8192-point STFT on every 1024-sample hop, so FFT
 //! speed matters. This implementation precomputes bit-reversal permutations
 //! and twiddle factors once per size in an [`Fft`] planner, then runs an
-//! in-place iterative Cooley–Tukey butterfly network.
+//! in-place iterative Cooley–Tukey butterfly network — every stage in one
+//! call to the SIMD-dispatched [`crate::kernels::fft_stages`].
+//!
+//! The network wants its input in bit-reversed order. [`Fft::forward`]
+//! takes natural-order data and permutes it with a swap pass; the STFT
+//! front-ends instead hand [`Fft::forward_from`] the samples they are
+//! computing anyway (a windowed frame), which writes each one straight to
+//! its bit-reversed slot, so the permutation costs no pass of its own.
 
 use crate::complex::Complex;
 
@@ -30,7 +37,8 @@ pub struct Fft {
     size: usize,
     rev: Vec<u32>,
     /// Twiddles for the forward transform, laid out stage-major: for each
-    /// butterfly half-length `m/2` the factors `exp(-2πik/m)`.
+    /// butterfly half-length `m/2` the factors `exp(-2πik/m)` (the layout
+    /// [`crate::kernels::fft_stages`] reads).
     twiddles: Vec<Complex>,
 }
 
@@ -107,21 +115,41 @@ impl Fft {
                 buf.swap(i, j);
             }
         }
-        // Iterative butterflies. Each block of `m` splits into an upper and
-        // lower half driven through the SIMD-dispatched butterfly kernel,
-        // which is pinned bitwise to the scalar recurrence it replaced.
-        let mut m = 2;
-        let mut toff = 0; // offset into the twiddle table for this stage
-        while m <= self.size {
-            let half = m / 2;
-            let tw = &self.twiddles[toff..toff + half];
-            for chunk in buf.chunks_exact_mut(m) {
-                let (u, v) = chunk.split_at_mut(half);
-                crate::kernels::butterfly_pass(u, v, tw, inverse);
-            }
-            toff += half;
-            m <<= 1;
+        crate::kernels::fft_stages(buf, &self.twiddles, inverse);
+    }
+
+    /// Computes the forward DFT of `samples` (natural order, exactly `size`
+    /// of them) into `buf`, writing each sample straight to its
+    /// bit-reversed slot instead of running [`Fft::forward`]'s swap pass.
+    /// Bitwise equal to filling `buf` with `samples` and calling
+    /// [`Fft::forward`]: the slots receive the same values the swaps would
+    /// have moved there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf.len()` differs from the planned size.
+    pub(crate) fn forward_from(
+        &self,
+        buf: &mut [Complex],
+        samples: impl IntoIterator<Item = Complex>,
+    ) {
+        assert_eq!(
+            buf.len(),
+            self.size,
+            "buffer length {} does not match planned FFT size {}",
+            buf.len(),
+            self.size
+        );
+        let mut loaded = 0;
+        for (&slot, z) in self.rev.iter().zip(samples) {
+            buf[slot as usize] = z;
+            loaded += 1;
         }
+        debug_assert_eq!(
+            loaded, self.size,
+            "forward_from needs exactly one sample per slot"
+        );
+        crate::kernels::fft_stages(buf, &self.twiddles, false);
     }
 
     /// Computes the forward DFT of a real signal, returning the full complex
@@ -291,6 +319,27 @@ mod tests {
         let spec = fft.forward_real(&signal);
         for k in 1..n / 2 {
             assert_close(spec[n - k], spec[k].conj(), 1e-9);
+        }
+    }
+
+    #[test]
+    fn forward_from_matches_forward_bitwise() {
+        for n in [1usize, 2, 4, 8, 64, 256, 2048] {
+            let fft = Fft::new(n);
+            let input: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 1.9).cos() - 0.2))
+                .collect();
+            let mut swapped = input.clone();
+            fft.forward(&mut swapped);
+            let mut loaded = vec![Complex::new(7.0, -7.0); n];
+            fft.forward_from(&mut loaded, input);
+            for (a, b) in loaded.iter().zip(&swapped) {
+                assert_eq!(
+                    (a.re.to_bits(), a.im.to_bits()),
+                    (b.re.to_bits(), b.im.to_bits()),
+                    "n={n}"
+                );
+            }
         }
     }
 

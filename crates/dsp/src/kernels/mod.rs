@@ -12,12 +12,12 @@
 //! to its reference by tests in this module plus the workspace lane-remainder
 //! property suite:
 //!
-//! * **bitwise** — elementwise maps (windowed multiply, complex-by-real
-//!   scale, subtract-and-clamp, threshold, binarize, absolute difference),
-//!   FFT butterfly passes, the RealFFT split, clamped 1-D convolution, and
-//!   `axpy` perform *the same operations in the same per-element order* as
-//!   the reference; no FMA contraction, no reassociation. Min/max folds are
-//!   selections (no rounding), so they are bitwise on any association.
+//! * **bitwise** — elementwise maps (subtract-and-clamp, threshold,
+//!   binarize, absolute difference), the FFT butterfly stages, the RealFFT
+//!   split, clamped 1-D convolution, and `axpy` perform *the same
+//!   operations in the same per-element order* as the reference; no FMA
+//!   contraction, no reassociation. Min/max folds are selections (no
+//!   rounding), so they are bitwise on any association.
 //! * **1e-9** — reductions that use multiple accumulators for throughput
 //!   ([`fir_complex_dot`], [`envelope_charge`]) reassociate the sum and are
 //!   pinned to the reference within `1e-9` relative error.
@@ -41,6 +41,7 @@
 #![allow(unsafe_code)]
 
 use crate::complex::Complex;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
@@ -152,67 +153,6 @@ pub fn backend() -> Backend {
 // ---------------------------------------------------------------------------
 // Elementwise maps (bitwise class)
 // ---------------------------------------------------------------------------
-
-/// `dst[i] = a[i] * b[i]` — the STFT windowed multiply. Bitwise.
-// echolint: hot entry
-pub fn mul_into(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    assert_eq!(dst.len(), a.len());
-    assert_eq!(dst.len(), b.len());
-    // SAFETY: each arm runs only when backend() has verified the matching
-    // CPU feature at runtime — exactly the contract the #[target_feature]
-    // lane functions require; the slices pass through unchanged, so the
-    // length assertions above keep every lane access in bounds.
-    #[cfg(target_arch = "x86_64")]
-    match backend() {
-        Backend::Avx2 => return unsafe { x86::mul_into_avx2(dst, a, b) },
-        Backend::Sse2 => return unsafe { x86::mul_into_sse2(dst, a, b) },
-        _ => {}
-    }
-    #[cfg(target_arch = "aarch64")]
-    if backend() == Backend::Neon {
-        return unsafe { neon::mul_into_neon(dst, a, b) };
-    }
-    mul_into_ref(dst, a, b);
-}
-
-/// Scalar reference for [`mul_into`].
-// echolint: hot entry
-pub fn mul_into_ref(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *d = x * y;
-    }
-}
-
-/// `dst[i] = src[i].scale(w[i])` — the baseband windowed multiply
-/// (complex-by-real). Bitwise.
-// echolint: hot entry
-pub fn scale_complex_into(dst: &mut [Complex], src: &[Complex], w: &[f64]) {
-    assert_eq!(dst.len(), src.len());
-    assert_eq!(dst.len(), w.len());
-    // SAFETY: each arm runs only when backend() has verified the matching
-    // CPU feature at runtime — exactly the contract the #[target_feature]
-    // lane functions require; the slices pass through unchanged, so the
-    // length assertions above keep every lane access in bounds.
-    #[cfg(target_arch = "x86_64")]
-    match backend() {
-        Backend::Avx2 => return unsafe { x86::scale_complex_into_avx2(dst, src, w) },
-        Backend::Sse2 => return unsafe { x86::scale_complex_into_sse2(dst, src, w) },
-        _ => {}
-    }
-    #[cfg(target_arch = "aarch64")]
-    if backend() == Backend::Neon {
-        return unsafe { neon::scale_complex_into_neon(dst, src, w) };
-    }
-    scale_complex_into_ref(dst, src, w);
-}
-
-/// Scalar reference for [`scale_complex_into`].
-// echolint: hot entry
-pub fn scale_complex_into_ref(dst: &mut [Complex], src: &[Complex], w: &[f64]) {
-    for ((d, &z), &k) in dst.iter_mut().zip(src).zip(w) {
-        *d = z.scale(k);
-    }
-}
 
 /// `dst[i] = (dst[i] - sub).max(0.0)` — static-background subtraction with
 /// a per-row scalar. Bitwise (the clamp is a select, not an arithmetic op).
@@ -390,52 +330,96 @@ pub fn axpy_ref(acc: &mut [f64], src: &[f64], w: f64) {
 // Structured passes (bitwise class)
 // ---------------------------------------------------------------------------
 
-/// One radix-2 butterfly pass: `t = w·v[k]; (u[k], v[k]) = (u[k]+t, u[k]−t)`
-/// with `w = tw[k]` (conjugated when `inverse`). `u` and `v` are the two
-/// halves of one FFT block. Bitwise: the complex multiply keeps the scalar
-/// operand order and rounding (no FMA).
+/// Every radix-2 stage of an in-place FFT whose input is already in
+/// bit-reversed order. Stage `m = 2, 4, …, n` runs, on each block of `m`
+/// with halves `u` and `v`, the butterflies `t = w·v[k]; (u[k], v[k]) =
+/// (u[k]+t, u[k]−t)` with `w = twiddles[m/2 − 1 + k]`, conjugated when
+/// `inverse`. `twiddles` is stage-major: for each half-length `h = m/2` the
+/// factors `exp(−2πik/m)`, `n − 1` in all.
+///
+/// One call runs the whole network. The AVX2 and SSE2 bodies fuse stages 2
+/// and 4 into one pass over blocks of four, and each later stage pair
+/// `(m, 2m)` into one pass over blocks of `2m` (a radix-2² sweep that loads
+/// four quarter-block values, runs both stages' butterflies on them in
+/// registers and stores them back); an odd last stage runs alone. The NEON
+/// body loops its butterfly stage by stage, like the reference. Bitwise:
+/// every butterfly keeps the reference's operands, order and rounding (no
+/// FMA), and a fused pass only reorders butterflies that touch disjoint
+/// elements.
+///
+/// # Panics
+///
+/// Panics if `buf.len()` is not a power of two or `twiddles` holds fewer
+/// than `buf.len() − 1` factors.
 // echolint: hot entry
-pub fn butterfly_pass(u: &mut [Complex], v: &mut [Complex], tw: &[Complex], inverse: bool) {
-    assert_eq!(u.len(), v.len());
-    assert_eq!(u.len(), tw.len());
+pub fn fft_stages(buf: &mut [Complex], twiddles: &[Complex], inverse: bool) {
+    let n = buf.len();
+    assert!(n.is_power_of_two(), "FFT length {n} is not a power of two");
+    assert!(
+        twiddles.len() >= n - 1,
+        "{} twiddles for an {n}-point FFT",
+        twiddles.len()
+    );
     // SAFETY: each arm runs only when backend() has verified the matching
     // CPU feature at runtime — exactly the contract the #[target_feature]
     // lane functions require; the slices pass through unchanged, so the
     // length assertions above keep every lane access in bounds.
     #[cfg(target_arch = "x86_64")]
     match backend() {
-        Backend::Avx2 => return unsafe { x86::butterfly_pass_avx2(u, v, tw, inverse) },
-        Backend::Sse2 => return unsafe { x86::butterfly_pass_sse2(u, v, tw, inverse) },
+        Backend::Avx2 => return unsafe { x86::fft_stages_avx2(buf, twiddles, inverse) },
+        Backend::Sse2 => return unsafe { x86::fft_stages_sse2(buf, twiddles, inverse) },
         _ => {}
     }
     #[cfg(target_arch = "aarch64")]
     if backend() == Backend::Neon {
-        return unsafe { neon::butterfly_pass_neon(u, v, tw, inverse) };
+        return unsafe { neon::fft_stages_neon(buf, twiddles, inverse) };
     }
-    butterfly_pass_ref(u, v, tw, inverse);
+    fft_stages_ref(buf, twiddles, inverse);
 }
 
-/// Scalar reference for [`butterfly_pass`].
+/// Scalar reference for [`fft_stages`]: one stage at a time, one block at
+/// a time.
 // echolint: hot entry
-pub fn butterfly_pass_ref(u: &mut [Complex], v: &mut [Complex], tw: &[Complex], inverse: bool) {
-    for ((a, b), &w) in u.iter_mut().zip(v).zip(tw) {
-        let w = if inverse { w.conj() } else { w };
-        let t = w * *b;
-        let ua = *a;
-        *a = ua + t;
-        *b = ua - t;
+pub fn fft_stages_ref(buf: &mut [Complex], twiddles: &[Complex], inverse: bool) {
+    let n = buf.len();
+    let mut m = 2;
+    while m <= n {
+        let half = m / 2;
+        let tw = &twiddles[half - 1..m - 1];
+        for block in buf.chunks_exact_mut(m) {
+            let (u, v) = block.split_at_mut(half);
+            for ((a, b), &w) in u.iter_mut().zip(v).zip(tw) {
+                let w = if inverse { w.conj() } else { w };
+                let t = w * *b;
+                let ua = *a;
+                *a = ua + t;
+                *b = ua - t;
+            }
+        }
+        m <<= 1;
     }
 }
 
-/// The RealFFT even/odd split for interior bins `k ∈ [1, m)`:
-/// `out[k] = (z_k + conj(z_{m−k}))/2 + tw[k] · odd_k` with
-/// `odd_k = (diff.im/2, −diff.re/2)`, `diff = z_k − conj(z_{m−k})`.
-/// `packed` holds the `m` half-size complex bins; DC and Nyquist are the
-/// caller's business. Bitwise: per-`k` independent, operand order preserved.
+/// The RealFFT even/odd split for the interior bins `k ∈ bins`
+/// (`1 ≤ bins.start`, `bins.end ≤ m`): `out[k − bins.start] = (z_k +
+/// conj(z_{m−k}))/2 + tw[k] · odd_k` with `odd_k = (diff.im/2, −diff.re/2)`,
+/// `diff = z_k − conj(z_{m−k})`. `packed` holds the `m` half-size complex
+/// bins; DC and Nyquist are the caller's business. Splitting only a band
+/// is how the STFT skips the bins outside its region of interest. Bitwise:
+/// per-`k` independent, operand order preserved.
+///
+/// # Panics
+///
+/// Panics if `bins` starts at 0 or ends past `m`, if `out` is not
+/// `bins.len()` long, or if `tw` holds fewer than `m` factors.
 // echolint: hot entry
-pub fn realfft_split(out: &mut [Complex], packed: &[Complex], tw: &[Complex]) {
+pub fn realfft_split(out: &mut [Complex], packed: &[Complex], tw: &[Complex], bins: Range<usize>) {
     let m = packed.len();
-    assert!(out.len() >= m);
+    assert!(
+        bins.start >= 1 && bins.start <= bins.end && bins.end <= m,
+        "split bins {bins:?} outside [1, {m}]"
+    );
+    assert_eq!(out.len(), bins.len(), "split output length");
     assert!(tw.len() >= m);
     // SAFETY: each arm runs only when backend() has verified the matching
     // CPU feature at runtime — exactly the contract the #[target_feature]
@@ -443,28 +427,33 @@ pub fn realfft_split(out: &mut [Complex], packed: &[Complex], tw: &[Complex]) {
     // length assertions above keep every lane access in bounds.
     #[cfg(target_arch = "x86_64")]
     match backend() {
-        Backend::Avx2 => return unsafe { x86::realfft_split_avx2(out, packed, tw) },
-        Backend::Sse2 => return unsafe { x86::realfft_split_sse2(out, packed, tw) },
+        Backend::Avx2 => return unsafe { x86::realfft_split_avx2(out, packed, tw, bins.start) },
+        Backend::Sse2 => return unsafe { x86::realfft_split_sse2(out, packed, tw, bins.start) },
         _ => {}
     }
     #[cfg(target_arch = "aarch64")]
     if backend() == Backend::Neon {
-        return unsafe { neon::realfft_split_neon(out, packed, tw) };
+        return unsafe { neon::realfft_split_neon(out, packed, tw, bins.start) };
     }
-    realfft_split_ref(out, packed, tw);
+    realfft_split_ref(out, packed, tw, bins);
 }
 
 /// Scalar reference for [`realfft_split`].
 // echolint: hot entry
-pub fn realfft_split_ref(out: &mut [Complex], packed: &[Complex], tw: &[Complex]) {
+pub fn realfft_split_ref(
+    out: &mut [Complex],
+    packed: &[Complex],
+    tw: &[Complex],
+    bins: Range<usize>,
+) {
     let m = packed.len();
-    for k in 1..m {
+    for (o, k) in out.iter_mut().zip(bins) {
         let zk = packed[k];
         let zc = packed[m - k].conj();
         let even = (zk + zc).scale(0.5);
         let diff = zk - zc;
         let odd = Complex::new(diff.im * 0.5, -diff.re * 0.5);
-        out[k] = even + tw[k] * odd;
+        *o = even + tw[k] * odd;
     }
 }
 
@@ -671,6 +660,12 @@ mod tests {
         re.into_iter().zip(im).map(|(r, i)| Complex::new(r, i)).collect()
     }
 
+    /// Bit patterns of a complex buffer (`==` on floats would let `0.0`
+    /// and `-0.0` pass as equal).
+    fn bits(zs: &[Complex]) -> Vec<(u64, u64)> {
+        zs.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
     /// Lengths around every lane boundary (1, lane−1, lane, lane+1) plus
     /// odd ROI-band-like widths.
     const LENGTHS: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 64, 101, 129];
@@ -682,32 +677,6 @@ mod tests {
         assert!(b.f64_lanes() >= 1);
         assert!(!b.name().is_empty());
         assert!(detected_features().iter().all(|f| !f.is_empty()));
-    }
-
-    #[test]
-    fn mul_into_matches_reference_bitwise() {
-        for &n in LENGTHS {
-            let a = values(n, 1);
-            let b = values(n, 2);
-            let mut fast = vec![0.0; n];
-            let mut reference = vec![0.0; n];
-            mul_into(&mut fast, &a, &b);
-            mul_into_ref(&mut reference, &a, &b);
-            assert!(fast == reference, "n={n}");
-        }
-    }
-
-    #[test]
-    fn scale_complex_into_matches_reference_bitwise() {
-        for &n in LENGTHS {
-            let src = complexes(n, 3);
-            let w = values(n, 4);
-            let mut fast = vec![Complex::ZERO; n];
-            let mut reference = vec![Complex::ZERO; n];
-            scale_complex_into(&mut fast, &src, &w);
-            scale_complex_into_ref(&mut reference, &src, &w);
-            assert!(fast == reference, "n={n}");
-        }
     }
 
     #[test]
@@ -766,18 +735,24 @@ mod tests {
         }
     }
 
+    /// The fused lane bodies against the stage-at-a-time reference at
+    /// every power of two up to the paper's 8 192 points, forward and
+    /// inverse, with arbitrary (not unit-circle) twiddles so a misplaced
+    /// twiddle index cannot hide behind a symmetry.
     #[test]
-    fn butterfly_pass_matches_reference_bitwise() {
-        for &n in LENGTHS {
+    fn fft_stages_matches_reference_bitwise() {
+        // Under Miri only the scalar reference runs; small sizes suffice.
+        let max_log2 = if cfg!(miri) { 6 } else { 13 };
+        for log2 in 0..=max_log2 {
+            let n = 1usize << log2;
+            let tw = complexes(n - 1, 11 + log2);
             for inverse in [false, true] {
-                let tw = complexes(n, 11);
-                let u0 = complexes(n, 12);
-                let v0 = complexes(n, 13);
-                let (mut uf, mut vf) = (u0.clone(), v0.clone());
-                let (mut ur, mut vr) = (u0, v0);
-                butterfly_pass(&mut uf, &mut vf, &tw, inverse);
-                butterfly_pass_ref(&mut ur, &mut vr, &tw, inverse);
-                assert!(uf == ur && vf == vr, "n={n} inverse={inverse}");
+                let input = complexes(n, 12 + log2);
+                let mut fast = input.clone();
+                let mut reference = input;
+                fft_stages(&mut fast, &tw, inverse);
+                fft_stages_ref(&mut reference, &tw, inverse);
+                assert!(bits(&fast) == bits(&reference), "n={n} inverse={inverse}");
             }
         }
     }
@@ -785,16 +760,18 @@ mod tests {
     #[test]
     fn realfft_split_matches_reference_bitwise() {
         for &m in LENGTHS {
-            if m == 0 {
+            if m < 2 {
                 continue;
             }
             let packed = complexes(m, 14);
             let tw = complexes(m, 15);
-            let mut fast = vec![Complex::ZERO; m + 1];
-            let mut reference = vec![Complex::ZERO; m + 1];
-            realfft_split(&mut fast, &packed, &tw);
-            realfft_split_ref(&mut reference, &packed, &tw);
-            assert!(fast == reference, "m={m}");
+            for bins in [1..m, 1..2, m - 1..m, m / 2..m, 1..m.div_ceil(2)] {
+                let mut fast = vec![Complex::ZERO; bins.len()];
+                let mut reference = vec![Complex::ZERO; bins.len()];
+                realfft_split(&mut fast, &packed, &tw, bins.clone());
+                realfft_split_ref(&mut reference, &packed, &tw, bins.clone());
+                assert!(bits(&fast) == bits(&reference), "m={m} bins={bins:?}");
+            }
         }
     }
 

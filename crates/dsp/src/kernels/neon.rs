@@ -83,38 +83,6 @@ fn conj_mask() -> uint64x2_t {
 }
 
 #[target_feature(enable = "neon")]
-pub(super) fn mul_into_neon(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    let n = dst.len();
-    let (dp, ap, bp) = (dst.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-    let mut i = 0;
-    while i + 2 <= n {
-        // SAFETY: i + 2 <= n == dst.len() == a.len() == b.len().
-        unsafe {
-            let va = vld1q_f64(ap.add(i));
-            let vb = vld1q_f64(bp.add(i));
-            vst1q_f64(dp.add(i), vmulq_f64(va, vb));
-        }
-        i += 2;
-    }
-    if i < n {
-        dst[i] = a[i] * b[i];
-    }
-}
-
-#[target_feature(enable = "neon")]
-pub(super) fn scale_complex_into_neon(dst: &mut [Complex], src: &[Complex], w: &[f64]) {
-    let n = dst.len();
-    let (dp, sp) = (f64_ptr_mut(dst), f64_ptr(src));
-    for i in 0..n {
-        // SAFETY: complex i spans f64 offsets [2i, 2i+2) <= 2n.
-        unsafe {
-            let z = vld1q_f64(sp.add(2 * i));
-            vst1q_f64(dp.add(2 * i), vmulq_f64(z, vdupq_n_f64(w[i])));
-        }
-    }
-}
-
-#[target_feature(enable = "neon")]
 pub(super) fn subtract_clamp_neon(dst: &mut [f64], sub: f64) {
     let n = dst.len();
     let dp = dst.as_mut_ptr();
@@ -236,19 +204,34 @@ pub(super) fn axpy_neon(acc: &mut [f64], src: &[f64], w: f64) {
     }
 }
 
+/// All stages of a bit-reversed buffer, one stage and one block at a time
+/// through [`butterflies`]: the NEON body keeps the pass-at-a-time shape of
+/// the scalar reference rather than the fused sweeps of the x86 bodies.
 #[target_feature(enable = "neon")]
-pub(super) fn butterfly_pass_neon(
-    u: &mut [Complex],
-    v: &mut [Complex],
-    tw: &[Complex],
-    inverse: bool,
-) {
-    let n = u.len();
+pub(super) fn fft_stages_neon(buf: &mut [Complex], tw: &[Complex], inverse: bool) {
+    let n = buf.len();
+    let mut m = 2;
+    while m <= n {
+        let half = m / 2;
+        let stage = &tw[half - 1..m - 1];
+        for block in buf.chunks_exact_mut(m) {
+            let (u, v) = block.split_at_mut(half);
+            butterflies(u, v, stage, inverse);
+        }
+        m <<= 1;
+    }
+}
+
+/// One block's radix-2 butterflies: `t = w·v[k]; (u[k], v[k]) = (u[k]+t,
+/// u[k]−t)`, `w = tw[k]` conjugated when `inverse`.
+#[target_feature(enable = "neon")]
+fn butterflies(u: &mut [Complex], v: &mut [Complex], tw: &[Complex], inverse: bool) {
+    let n = u.len().min(v.len()).min(tw.len());
     let (up, vp, tp) = (f64_ptr_mut(u), f64_ptr_mut(v), f64_ptr(tw));
     let conj = conj_mask();
     for i in 0..n {
         // SAFETY: complex i spans f64 offsets [2i, 2i+2) <= 2n in all three
-        // buffers (equal lengths asserted by the wrapper).
+        // buffers (n is the shortest of their lengths).
         unsafe {
             let mut w = vld1q_f64(tp.add(2 * i));
             if inverse {
@@ -264,7 +247,12 @@ pub(super) fn butterfly_pass_neon(
 }
 
 #[target_feature(enable = "neon")]
-pub(super) fn realfft_split_neon(out: &mut [Complex], packed: &[Complex], tw: &[Complex]) {
+pub(super) fn realfft_split_neon(
+    out: &mut [Complex],
+    packed: &[Complex],
+    tw: &[Complex],
+    lo: usize,
+) {
     let m = packed.len();
     let (op, pp, tp) = (f64_ptr_mut(out), f64_ptr(packed), f64_ptr(tw));
     let conj = conj_mask();
@@ -274,9 +262,9 @@ pub(super) fn realfft_split_neon(out: &mut [Complex], packed: &[Complex], tw: &[
         // SAFETY: `lanes` is exactly two f64s.
         unsafe { vld1q_f64(lanes.as_ptr()) }
     };
-    for k in 1..m {
-        // SAFETY: reads packed[k], packed[m−k], tw[k], writes out[k]; all in
-        // range for 1 <= k < m given the wrapper's length assertions.
+    for (i, k) in (lo..lo + out.len()).enumerate() {
+        // SAFETY: reads packed[k], packed[m−k], tw[k], writes out[i]; all in
+        // range for 1 <= k < m given the wrapper's assertions.
         unsafe {
             let zk = vld1q_f64(pp.add(2 * k));
             let zc = vreinterpretq_f64_u64(veor(
@@ -289,7 +277,7 @@ pub(super) fn realfft_split_neon(out: &mut [Complex], packed: &[Complex], tw: &[
             // reference's (diff.im · 0.5, −(diff.re · 0.5)).
             let odd = vmulq_f64(vextq_f64::<1>(diff, diff), half_neghalf);
             let w = vld1q_f64(tp.add(2 * k));
-            vst1q_f64(op.add(2 * k), vaddq_f64(even, cmul(w, odd)));
+            vst1q_f64(op.add(2 * i), vaddq_f64(even, cmul(w, odd)));
         }
     }
 }

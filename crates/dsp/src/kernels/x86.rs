@@ -15,11 +15,10 @@ use super::conv1d_clamped_range;
 use crate::complex::Complex;
 use std::arch::x86_64::{
     __m128d, __m256d, _mm256_add_pd, _mm256_addsub_pd, _mm256_and_pd, _mm256_andnot_pd,
-    _mm256_castpd128_pd256, _mm256_castpd256_pd128, _mm256_cmp_pd, _mm256_extractf128_pd,
-    _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_movedup_pd, _mm256_mul_pd,
-    _mm256_permute2f128_pd, _mm256_permute4x64_pd, _mm256_permute_pd, _mm256_set1_pd,
-    _mm256_set_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_xor_pd,
-    _mm_add_pd, _mm_and_pd, _mm_andnot_pd, _mm_cmpge_pd, _mm_cmplt_pd, _mm_cvtsd_f64,
+    _mm256_castpd256_pd128, _mm256_cmp_pd, _mm256_extractf128_pd, _mm256_loadu_pd, _mm256_max_pd,
+    _mm256_min_pd, _mm256_movedup_pd, _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_permute4x64_pd,
+    _mm256_permute_pd, _mm256_set1_pd, _mm256_set_m128d, _mm256_set_pd, _mm256_setzero_pd,
+    _mm256_storeu_pd, _mm256_sub_pd, _mm256_xor_pd, _mm_add_pd, _mm_and_pd, _mm_andnot_pd, _mm_cmpge_pd, _mm_cmplt_pd, _mm_cvtsd_f64,
     _mm_loadu_pd, _mm_max_pd, _mm_min_pd, _mm_mul_pd, _mm_set1_pd, _mm_set_pd, _mm_setzero_pd,
     _mm_shuffle_pd, _mm_storeu_pd, _mm_sub_pd, _mm_unpackhi_pd, _mm_unpacklo_pd, _mm_xor_pd,
     _CMP_GE_OQ, _CMP_LT_OQ,
@@ -80,80 +79,6 @@ fn conj_mask_avx2() -> __m256d {
 // ---------------------------------------------------------------------------
 // Elementwise maps
 // ---------------------------------------------------------------------------
-
-#[target_feature(enable = "avx2")]
-pub(super) fn mul_into_avx2(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    let n = dst.len();
-    let (dp, ap, bp) = (dst.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: i + 4 <= n == dst.len() == a.len() == b.len().
-        unsafe {
-            let va = _mm256_loadu_pd(ap.add(i));
-            let vb = _mm256_loadu_pd(bp.add(i));
-            _mm256_storeu_pd(dp.add(i), _mm256_mul_pd(va, vb));
-        }
-        i += 4;
-    }
-    while i < n {
-        dst[i] = a[i] * b[i];
-        i += 1;
-    }
-}
-
-#[target_feature(enable = "sse2")]
-pub(super) fn mul_into_sse2(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    let n = dst.len();
-    let (dp, ap, bp) = (dst.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-    let mut i = 0;
-    while i + 2 <= n {
-        // SAFETY: i + 2 <= n == dst.len() == a.len() == b.len().
-        unsafe {
-            let va = _mm_loadu_pd(ap.add(i));
-            let vb = _mm_loadu_pd(bp.add(i));
-            _mm_storeu_pd(dp.add(i), _mm_mul_pd(va, vb));
-        }
-        i += 2;
-    }
-    if i < n {
-        dst[i] = a[i] * b[i];
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) fn scale_complex_into_avx2(dst: &mut [Complex], src: &[Complex], w: &[f64]) {
-    let n = dst.len();
-    let (dp, sp, wp) = (f64_ptr_mut(dst), f64_ptr(src), w.as_ptr());
-    let mut i = 0;
-    while i + 2 <= n {
-        // SAFETY: complex i+1 ends at f64 offset 2i+4 <= 2n.
-        unsafe {
-            let z = _mm256_loadu_pd(sp.add(2 * i));
-            let wv = _mm_loadu_pd(wp.add(i));
-            // [w0, w0, w1, w1]
-            let wd = _mm256_permute4x64_pd(_mm256_castpd128_pd256(wv), 0b0101_0000);
-            _mm256_storeu_pd(dp.add(2 * i), _mm256_mul_pd(z, wd));
-        }
-        i += 2;
-    }
-    if i < n {
-        dst[i] = src[i].scale(w[i]);
-    }
-}
-
-#[target_feature(enable = "sse2")]
-pub(super) fn scale_complex_into_sse2(dst: &mut [Complex], src: &[Complex], w: &[f64]) {
-    let n = dst.len();
-    let (dp, sp) = (f64_ptr_mut(dst), f64_ptr(src));
-    for i in 0..n {
-        // SAFETY: complex i spans f64 offsets [2i, 2i+2) <= 2n.
-        unsafe {
-            let z = _mm_loadu_pd(sp.add(2 * i));
-            let wd = _mm_set1_pd(w[i]);
-            _mm_storeu_pd(dp.add(2 * i), _mm_mul_pd(z, wd));
-        }
-    }
-}
 
 #[target_feature(enable = "avx2")]
 pub(super) fn subtract_clamp_avx2(dst: &mut [f64], sub: f64) {
@@ -409,82 +334,209 @@ pub(super) fn axpy_sse2(acc: &mut [f64], src: &[f64], w: f64) {
 // ---------------------------------------------------------------------------
 
 #[target_feature(enable = "avx2")]
-pub(super) fn butterfly_pass_avx2(
-    u: &mut [Complex],
-    v: &mut [Complex],
-    tw: &[Complex],
-    inverse: bool,
-) {
-    let n = u.len();
-    let (up, vp, tp) = (f64_ptr_mut(u), f64_ptr_mut(v), f64_ptr(tw));
-    let conj = conj_mask_avx2();
-    let mut i = 0;
-    while i + 2 <= n {
-        // SAFETY: complexes [i, i+2) span f64 offsets [2i, 2i+4) <= 2n in
-        // all three buffers (equal lengths asserted by the wrapper).
-        unsafe {
-            let mut w = _mm256_loadu_pd(tp.add(2 * i));
-            if inverse {
-                w = _mm256_xor_pd(w, conj);
-            }
-            let b = _mm256_loadu_pd(vp.add(2 * i));
-            let a = _mm256_loadu_pd(up.add(2 * i));
-            let t = cmul_avx2(w, b);
-            _mm256_storeu_pd(up.add(2 * i), _mm256_add_pd(a, t));
-            _mm256_storeu_pd(vp.add(2 * i), _mm256_sub_pd(a, t));
-        }
-        i += 2;
+pub(super) fn fft_stages_avx2(buf: &mut [Complex], tw: &[Complex], inverse: bool) {
+    let n = buf.len();
+    if n < 4 {
+        return super::fft_stages_ref(buf, tw, inverse);
     }
-    if i < n {
-        let w = if inverse { tw[i].conj() } else { tw[i] };
-        let t = w * v[i];
-        let a = u[i];
-        u[i] = a + t;
-        v[i] = a - t;
+    let (p, t) = (f64_ptr_mut(buf), f64_ptr(tw));
+    // Conjugation flips the `im` sign bits; xor with zero is the identity.
+    let conj = if inverse { conj_mask_avx2() } else { _mm256_setzero_pd() };
+    // Stages 2 and 4 over each block of four (x0..x3): stage 2 pairs
+    // (x0, x1) and (x2, x3) under tw[0], stage 4 pairs (x0, x2) and
+    // (x1, x3) under tw[1], tw[2]. One register holds two complexes, so
+    // the pairs are gathered with 128-bit lane permutes.
+    // SAFETY: the wrapper asserts n is a power of two (here ≥ 4, so every
+    // block [b, b+4) lies inside the buffer) and tw.len() >= n − 1 >= 3.
+    unsafe {
+        let w0 = _mm_loadu_pd(t);
+        let w2 = _mm256_xor_pd(_mm256_set_m128d(w0, w0), conj);
+        let w4 = _mm256_xor_pd(_mm256_loadu_pd(t.add(2)), conj);
+        let mut b = 0;
+        while b < n {
+            let q = p.add(2 * b);
+            let x01 = _mm256_loadu_pd(q);
+            let x23 = _mm256_loadu_pd(q.add(4));
+            let u = _mm256_permute2f128_pd(x01, x23, 0x20); // [x0, x2]
+            let v = _mm256_permute2f128_pd(x01, x23, 0x31); // [x1, x3]
+            let tt = cmul_avx2(w2, v);
+            let s = _mm256_add_pd(u, tt); // stage-2 [x0, x2]
+            let d = _mm256_sub_pd(u, tt); // stage-2 [x1, x3]
+            let u = _mm256_permute2f128_pd(s, d, 0x20); // [x0, x1]
+            let v = _mm256_permute2f128_pd(s, d, 0x31); // [x2, x3]
+            let tt = cmul_avx2(w4, v);
+            _mm256_storeu_pd(q, _mm256_add_pd(u, tt));
+            _mm256_storeu_pd(q.add(4), _mm256_sub_pd(u, tt));
+            b += 4;
+        }
+    }
+    // Stage pairs (m, 2m), one sweep over each block of 2m in quarters of
+    // q = m/2: stage m pairs (a, b) and (c, d) under tw_m[j]; stage 2m
+    // pairs (a, c) under tw_2m[j] and (b, d) under tw_2m[j + q].
+    let mut m = 8;
+    while 2 * m <= n {
+        let q = m / 2;
+        // SAFETY: stage m's factors start at tw[q − 1] and stage 2m's at
+        // tw[m − 1]; the largest index read, tw[m − 1 + 2q − 1], is
+        // tw[2m − 2] <= tw[n − 2]. Each block [base, base + 2m) lies inside
+        // the buffer (n is a multiple of 2m), and j + 2 <= q keeps every
+        // two-complex load inside its quarter.
+        unsafe {
+            let (tm, t2m) = (t.add(2 * (q - 1)), t.add(2 * (m - 1)));
+            let mut base = 0;
+            while base < n {
+                let mut j = 0;
+                while j < q {
+                    let pa = p.add(2 * (base + j));
+                    let (pb, pc) = (pa.add(2 * q), pa.add(2 * m));
+                    let pd = pc.add(2 * q);
+                    let wm = _mm256_xor_pd(_mm256_loadu_pd(tm.add(2 * j)), conj);
+                    let (a, b) = (_mm256_loadu_pd(pa), _mm256_loadu_pd(pb));
+                    let (c, d) = (_mm256_loadu_pd(pc), _mm256_loadu_pd(pd));
+                    let t1 = cmul_avx2(wm, b);
+                    let (a1, b1) = (_mm256_add_pd(a, t1), _mm256_sub_pd(a, t1));
+                    let t2 = cmul_avx2(wm, d);
+                    let (c1, d1) = (_mm256_add_pd(c, t2), _mm256_sub_pd(c, t2));
+                    let wa = _mm256_xor_pd(_mm256_loadu_pd(t2m.add(2 * j)), conj);
+                    let wb = _mm256_xor_pd(_mm256_loadu_pd(t2m.add(2 * (j + q))), conj);
+                    let t3 = cmul_avx2(wa, c1);
+                    _mm256_storeu_pd(pa, _mm256_add_pd(a1, t3));
+                    _mm256_storeu_pd(pc, _mm256_sub_pd(a1, t3));
+                    let t4 = cmul_avx2(wb, d1);
+                    _mm256_storeu_pd(pb, _mm256_add_pd(b1, t4));
+                    _mm256_storeu_pd(pd, _mm256_sub_pd(b1, t4));
+                    j += 2;
+                }
+                base += 2 * m;
+            }
+        }
+        m *= 4;
+    }
+    if m == n {
+        // An odd stage count leaves the last stage (m = n) on its own.
+        let h = m / 2;
+        // SAFETY: stage n's factors are tw[h − 1 .. n − 1]; j + 2 <= h keeps
+        // the loads of u = buf[j..], v = buf[j + h..] inside the buffer.
+        unsafe {
+            let th = t.add(2 * (h - 1));
+            let mut j = 0;
+            while j < h {
+                let (pu, pv) = (p.add(2 * j), p.add(2 * (j + h)));
+                let w = _mm256_xor_pd(_mm256_loadu_pd(th.add(2 * j)), conj);
+                let a = _mm256_loadu_pd(pu);
+                let tt = cmul_avx2(w, _mm256_loadu_pd(pv));
+                _mm256_storeu_pd(pu, _mm256_add_pd(a, tt));
+                _mm256_storeu_pd(pv, _mm256_sub_pd(a, tt));
+                j += 2;
+            }
+        }
     }
 }
 
 #[target_feature(enable = "sse2")]
-pub(super) fn butterfly_pass_sse2(
-    u: &mut [Complex],
-    v: &mut [Complex],
-    tw: &[Complex],
-    inverse: bool,
-) {
-    let n = u.len();
-    let (up, vp, tp) = (f64_ptr_mut(u), f64_ptr_mut(v), f64_ptr(tw));
-    let conj = _mm_set_pd(-0.0, 0.0);
-    for i in 0..n {
-        // SAFETY: complex i spans f64 offsets [2i, 2i+2) <= 2n in all three
-        // buffers (equal lengths asserted by the wrapper).
+pub(super) fn fft_stages_sse2(buf: &mut [Complex], tw: &[Complex], inverse: bool) {
+    let n = buf.len();
+    if n < 4 {
+        return super::fft_stages_ref(buf, tw, inverse);
+    }
+    let (p, t) = (f64_ptr_mut(buf), f64_ptr(tw));
+    let conj = if inverse { _mm_set_pd(-0.0, 0.0) } else { _mm_setzero_pd() };
+    // Stages 2 and 4 over each block of four; see `fft_stages_avx2`.
+    // SAFETY: n is a power of two >= 4, so every block [b, b+4) lies inside
+    // the buffer, and tw.len() >= n − 1 >= 3.
+    unsafe {
+        let w2 = _mm_xor_pd(_mm_loadu_pd(t), conj);
+        let w4a = _mm_xor_pd(_mm_loadu_pd(t.add(2)), conj);
+        let w4b = _mm_xor_pd(_mm_loadu_pd(t.add(4)), conj);
+        let mut b = 0;
+        while b < n {
+            let q = p.add(2 * b);
+            let (x0, x1) = (_mm_loadu_pd(q), _mm_loadu_pd(q.add(2)));
+            let (x2, x3) = (_mm_loadu_pd(q.add(4)), _mm_loadu_pd(q.add(6)));
+            let t0 = cmul_sse2(w2, x1);
+            let (y0, y1) = (_mm_add_pd(x0, t0), _mm_sub_pd(x0, t0));
+            let t1 = cmul_sse2(w2, x3);
+            let (y2, y3) = (_mm_add_pd(x2, t1), _mm_sub_pd(x2, t1));
+            let t2 = cmul_sse2(w4a, y2);
+            _mm_storeu_pd(q, _mm_add_pd(y0, t2));
+            _mm_storeu_pd(q.add(4), _mm_sub_pd(y0, t2));
+            let t3 = cmul_sse2(w4b, y3);
+            _mm_storeu_pd(q.add(2), _mm_add_pd(y1, t3));
+            _mm_storeu_pd(q.add(6), _mm_sub_pd(y1, t3));
+            b += 4;
+        }
+    }
+    let mut m = 8;
+    while 2 * m <= n {
+        let q = m / 2;
+        // SAFETY: as in `fft_stages_avx2`, one complex per load.
         unsafe {
-            let mut w = _mm_loadu_pd(tp.add(2 * i));
-            if inverse {
-                w = _mm_xor_pd(w, conj);
+            let (tm, t2m) = (t.add(2 * (q - 1)), t.add(2 * (m - 1)));
+            let mut base = 0;
+            while base < n {
+                for j in 0..q {
+                    let pa = p.add(2 * (base + j));
+                    let (pb, pc) = (pa.add(2 * q), pa.add(2 * m));
+                    let pd = pc.add(2 * q);
+                    let wm = _mm_xor_pd(_mm_loadu_pd(tm.add(2 * j)), conj);
+                    let (a, b) = (_mm_loadu_pd(pa), _mm_loadu_pd(pb));
+                    let (c, d) = (_mm_loadu_pd(pc), _mm_loadu_pd(pd));
+                    let t1 = cmul_sse2(wm, b);
+                    let (a1, b1) = (_mm_add_pd(a, t1), _mm_sub_pd(a, t1));
+                    let t2 = cmul_sse2(wm, d);
+                    let (c1, d1) = (_mm_add_pd(c, t2), _mm_sub_pd(c, t2));
+                    let wa = _mm_xor_pd(_mm_loadu_pd(t2m.add(2 * j)), conj);
+                    let wb = _mm_xor_pd(_mm_loadu_pd(t2m.add(2 * (j + q))), conj);
+                    let t3 = cmul_sse2(wa, c1);
+                    _mm_storeu_pd(pa, _mm_add_pd(a1, t3));
+                    _mm_storeu_pd(pc, _mm_sub_pd(a1, t3));
+                    let t4 = cmul_sse2(wb, d1);
+                    _mm_storeu_pd(pb, _mm_add_pd(b1, t4));
+                    _mm_storeu_pd(pd, _mm_sub_pd(b1, t4));
+                }
+                base += 2 * m;
             }
-            let b = _mm_loadu_pd(vp.add(2 * i));
-            let a = _mm_loadu_pd(up.add(2 * i));
-            let t = cmul_sse2(w, b);
-            _mm_storeu_pd(up.add(2 * i), _mm_add_pd(a, t));
-            _mm_storeu_pd(vp.add(2 * i), _mm_sub_pd(a, t));
+        }
+        m *= 4;
+    }
+    if m == n {
+        let h = m / 2;
+        // SAFETY: as in `fft_stages_avx2`, one complex per load.
+        unsafe {
+            let th = t.add(2 * (h - 1));
+            for j in 0..h {
+                let (pu, pv) = (p.add(2 * j), p.add(2 * (j + h)));
+                let w = _mm_xor_pd(_mm_loadu_pd(th.add(2 * j)), conj);
+                let a = _mm_loadu_pd(pu);
+                let tt = cmul_sse2(w, _mm_loadu_pd(pv));
+                _mm_storeu_pd(pu, _mm_add_pd(a, tt));
+                _mm_storeu_pd(pv, _mm_sub_pd(a, tt));
+            }
         }
     }
 }
 
 #[target_feature(enable = "avx2")]
-pub(super) fn realfft_split_avx2(out: &mut [Complex], packed: &[Complex], tw: &[Complex]) {
+pub(super) fn realfft_split_avx2(
+    out: &mut [Complex],
+    packed: &[Complex],
+    tw: &[Complex],
+    lo: usize,
+) {
     let m = packed.len();
+    let hi = lo + out.len();
     let (op, pp, tp) = (f64_ptr_mut(out), f64_ptr(packed), f64_ptr(tw));
     let conj = conj_mask_avx2();
     let halfv = _mm256_set1_pd(0.5);
     // [0.5, −0.5] per complex: odd_k = (diff.im · 0.5, diff.re · −0.5),
     // bitwise equal to the reference's (diff.im · 0.5, −(diff.re · 0.5)).
     let half_neghalf = _mm256_set_pd(-0.5, 0.5, -0.5, 0.5);
-    let mut k = 1;
-    while k + 2 <= m {
+    let mut k = lo;
+    while k + 2 <= hi {
         // SAFETY: reads packed[k..k+2] and packed[m−k−1..m−k+1] (both in
-        // range for 1 <= k <= m−2), tw[k..k+2], writes out[k..k+2]; the
-        // wrapper asserts out.len() >= m and tw.len() >= m.
+        // range for 1 <= k <= m−2), tw[k..k+2], writes out[k−lo..k−lo+2];
+        // the wrapper asserts 1 <= lo, hi <= m, out.len() == hi − lo and
+        // tw.len() >= m.
         unsafe {
             let zk = _mm256_loadu_pd(pp.add(2 * k));
             // [packed[m−k−1], packed[m−k]] → swap halves → [packed[m−k], packed[m−k−1]]
@@ -495,31 +547,35 @@ pub(super) fn realfft_split_avx2(out: &mut [Complex], packed: &[Complex], tw: &[
             // [diff.im, diff.re] per complex, then scale by [0.5, −0.5].
             let odd = _mm256_mul_pd(_mm256_permute_pd(diff, 0b0101), half_neghalf);
             let w = _mm256_loadu_pd(tp.add(2 * k));
-            _mm256_storeu_pd(op.add(2 * k), _mm256_add_pd(even, cmul_avx2(w, odd)));
+            _mm256_storeu_pd(op.add(2 * (k - lo)), _mm256_add_pd(even, cmul_avx2(w, odd)));
         }
         k += 2;
     }
-    while k < m {
+    if k < hi {
         let zk = packed[k];
         let zc = packed[m - k].conj();
         let even = (zk + zc).scale(0.5);
         let diff = zk - zc;
         let odd = Complex::new(diff.im * 0.5, -diff.re * 0.5);
-        out[k] = even + tw[k] * odd;
-        k += 1;
+        out[k - lo] = even + tw[k] * odd;
     }
 }
 
 #[target_feature(enable = "sse2")]
-pub(super) fn realfft_split_sse2(out: &mut [Complex], packed: &[Complex], tw: &[Complex]) {
+pub(super) fn realfft_split_sse2(
+    out: &mut [Complex],
+    packed: &[Complex],
+    tw: &[Complex],
+    lo: usize,
+) {
     let m = packed.len();
     let (op, pp, tp) = (f64_ptr_mut(out), f64_ptr(packed), f64_ptr(tw));
     let conj = _mm_set_pd(-0.0, 0.0);
     let halfv = _mm_set1_pd(0.5);
     let half_neghalf = _mm_set_pd(-0.5, 0.5);
-    for k in 1..m {
-        // SAFETY: reads packed[k], packed[m−k], tw[k], writes out[k]; all in
-        // range for 1 <= k < m given the wrapper's length assertions.
+    for (i, k) in (lo..lo + out.len()).enumerate() {
+        // SAFETY: reads packed[k], packed[m−k], tw[k], writes out[i]; all in
+        // range for 1 <= k < m given the wrapper's assertions.
         unsafe {
             let zk = _mm_loadu_pd(pp.add(2 * k));
             let zc = _mm_xor_pd(_mm_loadu_pd(pp.add(2 * (m - k))), conj);
@@ -527,7 +583,7 @@ pub(super) fn realfft_split_sse2(out: &mut [Complex], packed: &[Complex], tw: &[
             let diff = _mm_sub_pd(zk, zc);
             let odd = _mm_mul_pd(_mm_shuffle_pd(diff, diff, 0b01), half_neghalf);
             let w = _mm_loadu_pd(tp.add(2 * k));
-            _mm_storeu_pd(op.add(2 * k), _mm_add_pd(even, cmul_sse2(w, odd)));
+            _mm_storeu_pd(op.add(2 * i), _mm_add_pd(even, cmul_sse2(w, odd)));
         }
     }
 }

@@ -14,13 +14,20 @@
 //! X[k]  = Xe[k] + e^{−2πik/N} · Xo[k]          (k ≤ N/2)
 //! ```
 //!
-//! This halves the butterfly work of the STFT hot path. Callers that need
-//! zero allocation per transform thread a [`RealFftScratch`] through
-//! [`RealFft::forward_into`]; the planner itself is immutable and can be
-//! shared across threads.
+//! This halves the butterfly work of the STFT hot path. The packing writes
+//! each pair straight to its bit-reversed slot of the half-size transform
+//! ([`Fft`]'s load), and the split is computed per bin, so a caller that
+//! wants a band of the spectrum (the STFT's region of interest) splits only
+//! that band. Callers that need zero allocation per transform thread a
+//! [`RealFftScratch`] through [`RealFft::forward_into`]; the planner itself
+//! is immutable and can be shared across threads.
 
 use crate::complex::Complex;
 use crate::fft::Fft;
+
+/// Bins split per round on the band path: the stack buffer the complex bins
+/// pass through on their way to magnitudes.
+const SPLIT_CHUNK: usize = 64;
 
 /// A planned FFT for real input of a fixed power-of-two size.
 ///
@@ -115,23 +122,81 @@ impl RealFft {
             self.output_len()
         );
         let m = self.size / 2;
-        let packed = &mut scratch.packed;
-        packed.resize(m, Complex::ZERO);
-        for (t, z) in packed.iter_mut().enumerate() {
-            *z = Complex::new(signal[2 * t], signal[2 * t + 1]);
-        }
-        self.half.forward(packed);
+        scratch.packed.resize(m, Complex::ZERO);
+        let (pairs, _) = signal.as_chunks::<2>();
+        self.half.forward_from(
+            &mut scratch.packed,
+            pairs.iter().map(|&[even, odd]| Complex::new(even, odd)),
+        );
+        self.split_into(&scratch.packed, 0, out);
+    }
 
+    /// Magnitudes of bins `[lo_bin, lo_bin + out.len())` of the spectrum of
+    /// the windowed frame `signal[i]·window[i]`, allocating nothing. The
+    /// window multiply happens in the bit-reversed load and only the
+    /// requested bins are split, so no windowed copy and no full half
+    /// spectrum are ever materialized. Bitwise equal to
+    /// [`RealFft::forward_into`] on the windowed frame followed by `norm()`
+    /// of those bins.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `signal` or `window` is not `size` long, or the band runs
+    /// past the Nyquist bin.
+    pub(crate) fn windowed_band_magnitudes_into(
+        &self,
+        signal: &[f64],
+        window: &[f64],
+        lo_bin: usize,
+        scratch: &mut RealFftScratch,
+        out: &mut [f64],
+    ) {
+        assert_eq!(signal.len(), self.size, "signal length does not match planned real FFT size");
+        assert_eq!(window.len(), self.size, "window length does not match planned real FFT size");
+        assert!(lo_bin + out.len() <= self.output_len(), "band runs past the Nyquist bin");
+        scratch.packed.resize(self.size / 2, Complex::ZERO);
+        let (pairs, _) = signal.as_chunks::<2>();
+        let (weights, _) = window.as_chunks::<2>();
+        let windowed = pairs
+            .iter()
+            .zip(weights)
+            .map(|(&[x0, x1], &[w0, w1])| Complex::new(x0 * w0, x1 * w1));
+        self.half.forward_from(&mut scratch.packed, windowed);
+        // The band's complex bins pass through a small stack buffer on their
+        // way to magnitudes.
+        let mut spectrum = [Complex::ZERO; SPLIT_CHUNK];
+        for (i, mags) in out.chunks_mut(SPLIT_CHUNK).enumerate() {
+            let bins = &mut spectrum[..mags.len()];
+            self.split_into(&scratch.packed, lo_bin + i * SPLIT_CHUNK, bins);
+            for (mag, z) in mags.iter_mut().zip(bins.iter()) {
+                *mag = z.norm();
+            }
+        }
+    }
+
+    /// Unpacks bins `[lo, lo + out.len())` of the half spectrum from the
+    /// transformed packed buffer.
+    fn split_into(&self, packed: &[Complex], lo: usize, out: &mut [Complex]) {
+        let m = self.size / 2;
         // DC and Nyquist are purely real: the even/odd spectra both equal
         // Z[0]'s components there.
-        // echolint: allow(no-panic-path) -- out.len() == m+1 and packed.len() == m asserted at entry
-        out[0] = Complex::new(packed[0].re + packed[0].im, 0.0);
-        // echolint: allow(no-panic-path) -- out.len() == m+1 asserted at entry
-        out[m] = Complex::new(packed[0].re - packed[0].im, 0.0);
-        // Interior bins 1..m run through the SIMD-dispatched split kernel,
+        let z0 = packed.first().copied().unwrap_or(Complex::ZERO);
+        let (mut lo, mut out) = (lo, out);
+        if lo == 0 {
+            if let Some((dc, rest)) = std::mem::take(&mut out).split_first_mut() {
+                *dc = Complex::new(z0.re + z0.im, 0.0);
+                (lo, out) = (1, rest);
+            }
+        }
+        // Interior bins run through the SIMD-dispatched split kernel,
         // pinned bitwise to the scalar loop it replaced:
         //   odd = diff / 2i = (diff.im - i·diff.re) / 2
-        crate::kernels::realfft_split(out, packed, &self.twiddles);
+        let end = (lo + out.len()).min(m);
+        let (interior, nyquist) = out.split_at_mut(end - lo);
+        crate::kernels::realfft_split(interior, packed, &self.twiddles, lo..end);
+        if let Some(z) = nyquist.first_mut() {
+            *z = Complex::new(z0.re - z0.im, 0.0);
+        }
     }
 
     /// Computes the lower half-spectrum of `signal`, allocating the result.

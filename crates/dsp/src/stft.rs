@@ -5,7 +5,6 @@
 //! with Hann, and concatenates the per-frame magnitude spectra of every
 //! 5 frames into a spectrogram (paper Sec. III-A).
 
-use crate::complex::Complex;
 use crate::realfft::{RealFft, RealFftScratch};
 use crate::window::WindowKind;
 
@@ -85,13 +84,12 @@ pub struct Stft {
 }
 
 /// Reusable per-worker workspace for the zero-allocation STFT entry points:
-/// the windowed frame, the packed half-size FFT buffer, and the complex
-/// half-spectrum.
+/// the packed half-size FFT buffer. The window multiply happens as the
+/// frame is loaded into it and only the requested band is unpacked, so no
+/// windowed copy or full spectrum is kept.
 #[derive(Debug, Clone)]
 pub struct StftScratch {
-    windowed: Vec<f64>,
     fft: RealFftScratch,
-    spectrum: Vec<Complex>,
 }
 
 impl Stft {
@@ -130,15 +128,16 @@ impl Stft {
     /// Allocates a scratch arena sized for this plan. One scratch serves any
     /// number of sequential frames; concurrent workers each need their own.
     pub fn make_scratch(&self) -> StftScratch {
-        StftScratch {
-            windowed: vec![0.0; self.config.fft_size],
-            fft: self.fft.make_scratch(),
-            spectrum: vec![Complex::ZERO; self.fft.output_len()],
-        }
+        StftScratch { fft: self.fft.make_scratch() }
     }
 
     /// Computes magnitudes of the bin range `[lo_bin, hi_bin]` (inclusive)
     /// of one frame into `out`, allocating nothing.
+    ///
+    /// The frame is windowed as it is loaded, in bit-reversed order, into
+    /// the half-size transform, and only the band's bins are unpacked from
+    /// it; the magnitudes are bitwise those of the full half spectrum of the
+    /// windowed frame.
     ///
     /// # Panics
     ///
@@ -160,14 +159,8 @@ impl Stft {
             self.config.fft_size / 2
         );
         assert_eq!(out.len(), hi_bin - lo_bin + 1, "band output length mismatch");
-        scratch.windowed.resize(self.config.fft_size, 0.0);
-        crate::kernels::mul_into(&mut scratch.windowed, frame, &self.window);
-        scratch.spectrum.resize(self.fft.output_len(), Complex::ZERO);
         self.fft
-            .forward_into(&scratch.windowed, &mut scratch.fft, &mut scratch.spectrum);
-        for (o, z) in out.iter_mut().zip(&scratch.spectrum[lo_bin..=hi_bin]) {
-            *o = z.norm();
-        }
+            .windowed_band_magnitudes_into(frame, &self.window, lo_bin, &mut scratch.fft, out);
     }
 
     /// Computes the full half-spectrum magnitudes of one frame into `out`,
@@ -372,11 +365,10 @@ impl StreamingStft {
     ///
     /// This is the batched-shard entry point: a serve shard that drains
     /// several sessions' pushes in one pass hands every session the same
-    /// scratch, so the windowed-frame, packed-FFT, and spectrum buffers stay
-    /// hot in cache across sessions instead of ping-ponging between per-
-    /// session arenas. The emitted rows are bitwise identical to
-    /// [`StreamingStft::push_band_into`] — the scratch is pure workspace and
-    /// carries no state between frames.
+    /// scratch, so the packed-FFT buffer stays hot in cache across sessions
+    /// instead of ping-ponging between per-session arenas. The emitted rows
+    /// are bitwise identical to [`StreamingStft::push_band_into`] — the
+    /// scratch is pure workspace and carries no state between frames.
     pub fn push_band_into_with_scratch(
         &mut self,
         samples: &[f64],

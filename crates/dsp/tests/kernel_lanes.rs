@@ -10,10 +10,12 @@
 //!
 //! Bitwise-class kernels are compared by `f64::to_bits`; the two
 //! reassociating reductions (`fir_complex_dot`, `envelope_charge`) get the
-//! documented 1e-9 tolerance.
+//! documented 1e-9 tolerance. The FFT stage kernel is pinned at every power
+//! of two up to the paper's 8 192 points, and the STFT's band-only split
+//! path against the full real transform.
 
 use echowrite_dsp::kernels;
-use echowrite_dsp::Complex;
+use echowrite_dsp::{Complex, RealFft, Stft, StftConfig};
 use proptest::prelude::*;
 
 /// Upper bound of the length sweep — larger than `2·lane+1` for every
@@ -67,12 +69,6 @@ proptest! {
         for n in remainder_lengths() {
             let (a, b) = (&a[..n], &b[..n]);
 
-            let mut fast = vec![0.0; n];
-            let mut slow = vec![0.0; n];
-            kernels::mul_into(&mut fast, a, b);
-            kernels::mul_into_ref(&mut slow, a, b);
-            assert_bits(&fast, &slow, "mul_into");
-
             let mut fast = a.to_vec();
             let mut slow = a.to_vec();
             kernels::subtract_clamp(&mut fast, s);
@@ -111,35 +107,7 @@ proptest! {
         }
     }
 
-    #[test]
-    fn scale_complex_matches_ref_at_remainders(re in sig(), im in sig(), w in sig()) {
-        let src = complex(&re, &im);
-        for n in remainder_lengths() {
-            let mut fast = vec![Complex::ZERO; n];
-            let mut slow = vec![Complex::ZERO; n];
-            kernels::scale_complex_into(&mut fast, &src[..n], &w[..n]);
-            kernels::scale_complex_into_ref(&mut slow, &src[..n], &w[..n]);
-            assert_bits_c(&fast, &slow, "scale_complex_into");
-        }
-    }
-
     // ---------- Structured passes (bitwise) ----------
-
-    #[test]
-    fn butterfly_pass_matches_ref_at_remainders(
-        ur in sig(), ui in sig(), vr in sig(), vi in sig(), tr in sig(), ti in sig(),
-        inverse in any::<bool>()
-    ) {
-        let (u, v, tw) = (complex(&ur, &ui), complex(&vr, &vi), complex(&tr, &ti));
-        for n in remainder_lengths() {
-            let (mut fu, mut fv) = (u[..n].to_vec(), v[..n].to_vec());
-            let (mut su, mut sv) = (u[..n].to_vec(), v[..n].to_vec());
-            kernels::butterfly_pass(&mut fu, &mut fv, &tw[..n], inverse);
-            kernels::butterfly_pass_ref(&mut su, &mut sv, &tw[..n], inverse);
-            assert_bits_c(&fu, &su, "butterfly_pass u");
-            assert_bits_c(&fv, &sv, "butterfly_pass v");
-        }
-    }
 
     #[test]
     fn realfft_split_matches_ref_at_remainders(
@@ -147,12 +115,15 @@ proptest! {
     ) {
         let (packed, tw) = (complex(&pr, &pi), complex(&tr, &ti));
         for m in remainder_lengths() {
-            let mut fast = vec![Complex::ZERO; m];
-            let mut slow = vec![Complex::ZERO; m];
-            kernels::realfft_split(&mut fast, &packed[..m], &tw[..m]);
-            kernels::realfft_split_ref(&mut slow, &packed[..m], &tw[..m]);
-            // Interior bins only: out[0] (DC) is the caller's business.
-            assert_bits_c(&fast[1..], &slow[1..], "realfft_split");
+            // The whole interior, and every band starting at each bin.
+            for lo in 1..m {
+                let bins = lo..m;
+                let mut fast = vec![Complex::ZERO; bins.len()];
+                let mut slow = vec![Complex::ZERO; bins.len()];
+                kernels::realfft_split(&mut fast, &packed[..m], &tw[..m], bins.clone());
+                kernels::realfft_split_ref(&mut slow, &packed[..m], &tw[..m], bins);
+                assert_bits_c(&fast, &slow, "realfft_split");
+            }
         }
     }
 
@@ -204,6 +175,65 @@ proptest! {
     }
 }
 
+/// Deterministic pseudo-random complexes in `[-1, 1)²` for the FFT sweeps
+/// (a tiny LCG, so the sizes up to 8 192 need no large strategy).
+fn lcg_complexes(n: usize, seed: u64) -> Vec<Complex> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((state >> 11) as f64) / (1u64 << 52) as f64 - 1.0
+    };
+    (0..n).map(|_| Complex::new(next(), next())).collect()
+}
+
+/// The stage kernel against its stage-at-a-time reference at every power
+/// of two from 1 to 8 192 points, forward and inverse. Arbitrary twiddles
+/// (not unit-circle ones) leave no symmetry behind which a misplaced
+/// twiddle index could hide.
+#[test]
+fn fft_stages_matches_ref_at_every_power_of_two() {
+    for log2 in 0..=13u32 {
+        let n = 1usize << log2;
+        let tw = lcg_complexes(n - 1, u64::from(log2) + 101);
+        for inverse in [false, true] {
+            let input = lcg_complexes(n, u64::from(log2) + 202);
+            let (mut fast, mut slow) = (input.clone(), input);
+            kernels::fft_stages(&mut fast, &tw, inverse);
+            kernels::fft_stages_ref(&mut slow, &tw, inverse);
+            assert_bits_c(&fast, &slow, &format!("fft_stages n={n} inverse={inverse}"));
+        }
+    }
+}
+
+/// The STFT's band path (window multiply folded into the bit-reversed
+/// load, split over the band only) against the whole real transform of the
+/// windowed frame followed by `norm()`: bitwise, for a band at DC, a band
+/// ending at Nyquist, a single bin, and the paper's region of interest.
+#[test]
+fn stft_band_path_matches_full_real_fft_bitwise() {
+    let config = StftConfig::paper();
+    let n = config.fft_size;
+    let stft = Stft::new(config);
+    let real = RealFft::new(n);
+    let window = config.window.coefficients(n);
+    let frame: Vec<f64> = lcg_complexes(n / 2, 7).iter().flat_map(|z| [z.re, z.im]).collect();
+
+    let windowed: Vec<f64> = frame.iter().zip(&window).map(|(x, w)| x * w).collect();
+    let mut spectrum = vec![Complex::ZERO; real.output_len()];
+    real.forward_into(&windowed, &mut real.make_scratch(), &mut spectrum);
+    let full: Vec<f64> = spectrum.iter().map(|z| z.norm()).collect();
+
+    let roi = (config.frequency_bin(20_000.0 - 470.6), config.frequency_bin(20_000.0 + 470.6));
+    let mut scratch = stft.make_scratch();
+    for (lo, hi) in [(0, 200), (n / 2 - 130, n / 2), (0, n / 2), (1234, 1234), roi] {
+        let mut band = vec![0.0; hi - lo + 1];
+        stft.frame_band_into(&frame, lo, hi, &mut scratch, &mut band);
+        assert_bits(&band, &full[lo..=hi], &format!("band [{lo}, {hi}]"));
+    }
+}
+
 /// Deterministic sweep over every length `0..=33` — the properties above
 /// draw from the remainder set, this closes the gap for the lengths in
 /// between (and the empty slice, where the folds return their identities).
@@ -218,12 +248,6 @@ fn elementwise_kernels_match_ref_at_every_small_length() {
     for n in 0..=33usize {
         let a: Vec<f64> = (0..n).map(|_| next() * 100.0).collect();
         let b: Vec<f64> = (0..n).map(|_| next() * 100.0).collect();
-        let mut fast = vec![0.0; n];
-        let mut slow = vec![0.0; n];
-        kernels::mul_into(&mut fast, &a, &b);
-        kernels::mul_into_ref(&mut slow, &a, &b);
-        assert_bits(&fast, &slow, "mul_into");
-
         let mut fast = a.clone();
         let mut slow = a.clone();
         kernels::subtract_clamp_bg(&mut fast, &b);

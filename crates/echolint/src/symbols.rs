@@ -32,7 +32,7 @@ pub struct Site {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CallTarget {
     /// `foo(…)` or `qual::foo(…)` — only the innermost qualifier segment is
-    /// kept (`kernels::mul_into` and `dsp::kernels::mul_into` both resolve
+    /// kept (`kernels::fft_stages` and `dsp::kernels::fft_stages` both resolve
     /// through `qual == "kernels"`).
     Path {
         /// The segment directly before the called name, if any.

@@ -161,9 +161,8 @@ fn live_workspace_entry_manifest_contains_the_declared_roots() {
         "wire::server::read_loop",
         "wire::server::write_loop",
         "wire::server::route_events",
-        "dsp::kernels::mul_into",
+        "dsp::kernels::fft_stages",
         "dsp::kernels::subtract_clamp_bg",
-        "dsp::kernels::butterfly_pass",
         "dsp::kernels::realfft_split",
         "dsp::kernels::conv1d_clamped_into",
     ] {

@@ -5,7 +5,8 @@
 
 use echowrite::{EchoWrite, EchoWriteConfig, Parallelism};
 use echowrite_obs::ObsServer;
-use echowrite_serve::{Request, ServeConfig, SessionId, SessionManager};
+use echowrite_serve::{ReapPolicy, Request, ServeConfig, SessionId, SessionManager};
+use echowrite_snapshot::{MemoryStore, SnapshotStore};
 use echowrite_wire::{FrameDecoder, Response, WireClient, WireServer};
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -167,6 +168,43 @@ fn trace_lifecycle_records_without_restart() {
     assert!(body.contains("\"push\""), "serve spans recorded: {body}");
 
     obs.shutdown();
+}
+
+/// A snapshot that will not restore under this engine stays in the store,
+/// so a manager restarted under the engine that wrote it can still resume
+/// the session, and the failed thaw shows in `/metrics`.
+#[test]
+fn failed_thaw_keeps_the_snapshot_and_shows_in_metrics() {
+    let store = Arc::new(MemoryStore::new());
+    let id = SessionId(23);
+    let corrupt = b"EWSN torn mid-write".to_vec();
+    store.put(id.0, corrupt.clone()).expect("memory put");
+    let cfg = ServeConfig {
+        reap_policy: ReapPolicy::SuspendToStore,
+        idle_timeout_samples: Some(1 << 20),
+        ..one_shard()
+    };
+    let engine = EchoWrite::with_config(EchoWriteConfig::streaming());
+    let m = Arc::new(
+        SessionManager::with_snapshot_store(engine, cfg, store.clone()).expect("valid config"),
+    );
+    let obs = ObsServer::bind("127.0.0.1:0", Arc::downgrade(&m)).expect("bind");
+
+    // The push finds no live session, so the shard tries to thaw one.
+    let _ = m.push(id, &[0.0; 1024]);
+    m.quiesce();
+    assert_eq!(store.sessions().expect("store list"), vec![id.0]);
+    assert_eq!(
+        store.remove(id.0).expect("store read"),
+        Some(corrupt),
+        "a failed thaw must leave the snapshot's bytes in the store"
+    );
+    let (status, body) = get(obs.local_addr(), "/metrics");
+    assert_eq!(status_code(&status), 200);
+    assert!(
+        body.contains("echowrite_serve_thaw_failures_total 1\n"),
+        "failed thaw not reported:\n{body}"
+    );
 }
 
 /// An event whose session's opener has disconnected is an orphan: the

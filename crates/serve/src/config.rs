@@ -77,7 +77,7 @@ pub struct ServeConfig {
     pub idle_timeout_samples: Option<u64>,
     /// Maximum commands a shard worker drains from its queue per batch.
     /// Pushes in one batch run through a single shard-shared DSP scratch
-    /// (the windowed-frame/FFT/spectrum buffers stay hot across sessions);
+    /// (the packed-FFT buffer stays hot across sessions);
     /// commands still execute strictly in queue order, so output is
     /// independent of the batch size. `1` disables batching.
     pub batch_max: usize,

@@ -914,8 +914,8 @@ struct Worker {
     /// Per-shard scratch for segment events.
     scratch: Vec<SegmentEvent>,
     /// Shard-shared DSP workspace: every push of a batch runs its STFT
-    /// frames through this one arena, keeping the windowed-frame, FFT, and
-    /// spectrum buffers hot across sessions.
+    /// frames through this one arena, keeping the packed-FFT buffer hot
+    /// across sessions.
     dsp_scratch: SharedDspScratch,
     /// Logical clock: total samples this shard has processed.
     clock_samples: u64,
@@ -1106,9 +1106,11 @@ impl Worker {
     /// `admit` is true on the `Push`/`Finish` path, where no admission slot
     /// is reserved yet; the `Open` path passes false because
     /// [`SessionManager::submit`] already admitted the id. Returns whether
-    /// the session is now live. On a decode/restore failure the bytes are
-    /// discarded (they cannot become a session under this engine) and the
-    /// caller falls through to its unknown-id behaviour.
+    /// the session is now live. On a decode/restore failure the bytes go
+    /// back into the store untouched (a manager restarted under the engine
+    /// that wrote them can still resume the session), the failure is
+    /// counted in `thaw_failures`, and the caller falls through to its
+    /// unknown-id behaviour.
     fn thaw(&mut self, id: u64, admit: bool) -> bool {
         let Some(store) = self.store.as_ref() else {
             return false;
@@ -1119,7 +1121,7 @@ impl Worker {
         if admit && !self.admission.try_admit() {
             // Shed exactly like an over-water open; park the bytes back so
             // the session can still thaw once the population drains.
-            let _ = store.put(id, bytes);
+            self.park(id, bytes);
             self.metrics.sessions_shed.inc();
             return false;
         }
@@ -1160,8 +1162,19 @@ impl Worker {
                 if admit {
                     self.admission.release();
                 }
+                self.metrics.thaw_failures.inc();
+                self.park(id, bytes);
                 false
             }
+        }
+    }
+
+    /// Puts snapshot bytes the thaw path took out of the store back under
+    /// their id. A failed write loses them; that is counted in
+    /// `thaw_failures` rather than dropped silently.
+    fn park(&self, id: u64, bytes: Vec<u8>) {
+        if self.store.as_ref().is_none_or(|store| store.put(id, bytes).is_err()) {
+            self.metrics.thaw_failures.inc();
         }
     }
 

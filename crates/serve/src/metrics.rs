@@ -122,6 +122,10 @@ serve_metrics! {
     // A thaw on `Open`/`Push`/`Finish`, or an explicit import.
     counter sessions_resumed "echowrite_serve_sessions_resumed_total"
         "Sessions resumed from the snapshot store.";
+    // A snapshot that would not restore under this engine goes back into
+    // the store; a store write on the thaw path that fails loses it.
+    counter thaw_failures "echowrite_serve_thaw_failures_total"
+        "Thaws that failed: snapshots that would not restore, or store writes that failed.";
     // A retrying client re-sending an `Open` whose ack it lost.
     counter sessions_reopened "echowrite_serve_sessions_reopened_total"
         "Idempotent re-opens of an already-live session id.";

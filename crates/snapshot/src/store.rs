@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -110,11 +110,14 @@ impl SnapshotStore for MemoryStore {
 /// File-backed snapshot store: one `<session-id:016x>.ewsn` file per
 /// suspended session under a spill directory.
 ///
-/// Writes go to a temporary sibling first and are renamed into place, so a
-/// crash mid-`put` never leaves a torn snapshot under the final name — the
-/// strict decoder would reject one anyway, but recovery should not have to
-/// discard a session because its *previous* snapshot was overwritten by
-/// half of a new one.
+/// Writes go to a temporary sibling (`<id>.tmp`) first, which is synced to
+/// disk, renamed into place, and made durable by syncing the directory, so
+/// neither a crash mid-`put` nor a power loss right after one leaves a torn
+/// snapshot under the final name — the strict decoder would reject one
+/// anyway, but recovery should not have to discard a session because its
+/// *previous* snapshot was overwritten by half of a new one. A `.tmp` left
+/// behind by a crash is invisible to [`SnapshotStore::sessions`] and
+/// [`SnapshotStore::contains`], and the next `put` for that id replaces it.
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
@@ -142,8 +145,12 @@ impl SnapshotStore for FileStore {
     fn put(&self, session: u64, bytes: Vec<u8>) -> Result<(), StoreError> {
         let final_path = self.path_for(session);
         let tmp_path = self.dir.join(format!("{session:016x}.tmp"));
-        fs::write(&tmp_path, &bytes)?;
+        let mut tmp = fs::File::create(&tmp_path)?;
+        tmp.write_all(&bytes)?;
+        tmp.sync_all()?;
+        drop(tmp);
         fs::rename(&tmp_path, &final_path)?;
+        sync_dir(&self.dir)?;
         Ok(())
     }
 
@@ -187,6 +194,18 @@ impl SnapshotStore for FileStore {
         out.sort_unstable();
         Ok(out)
     }
+}
+
+/// Makes a rename inside `dir` durable: on Unix a directory entry reaches
+/// the disk only when the directory itself is synced.
+#[cfg(unix)]
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    fs::File::open(dir)?.sync_all()
+}
+
+#[cfg(not(unix))]
+fn sync_dir(_dir: &Path) -> io::Result<()> {
+    Ok(())
 }
 
 #[cfg(test)]
@@ -236,6 +255,24 @@ mod tests {
         let store = FileStore::new(&dir).unwrap();
         assert_eq!(store.sessions().unwrap(), vec![0xdead_beef]);
         assert_eq!(store.remove(0xdead_beef).unwrap(), Some(vec![7; 1000]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A crash between the temp write and the rename leaves `<id>.tmp`
+    /// behind: the store must not report it as a session, and the next
+    /// `put` for that id must replace it.
+    #[test]
+    fn file_store_ignores_and_replaces_a_stale_temp_file() {
+        let dir = temp_dir("stale-tmp");
+        let store = FileStore::new(&dir).unwrap();
+        let stale = dir.join(format!("{:016x}.tmp", 9));
+        fs::write(&stale, b"half of a snapshot").unwrap();
+        assert_eq!(store.sessions().unwrap(), Vec::<u64>::new());
+        assert!(!store.contains(9).unwrap());
+        store.put(9, vec![4, 2]).unwrap();
+        assert!(!stale.exists(), "put must consume the stale temp file");
+        assert_eq!(store.sessions().unwrap(), vec![9]);
+        assert_eq!(store.remove(9).unwrap(), Some(vec![4, 2]));
         let _ = fs::remove_dir_all(&dir);
     }
 
