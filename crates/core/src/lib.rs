@@ -57,7 +57,7 @@ pub use engine::{EchoWrite, EngineError, StrokeRecognition, WordRecognition};
 pub use pipeline::{Pipeline, StageTiming};
 pub use session_state::{
     ChainState, DownState, FrontState, IncrementalState, ReplayState, RestoreError, SessionBody,
-    SessionState, SnapshotState,
+    SessionState,
 };
 pub use streaming::{
     SegmentEvent, SharedDspScratch, StreamingRecognizer, StreamingSession, StrokeEvent,

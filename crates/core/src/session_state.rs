@@ -29,22 +29,6 @@ use echowrite_profile::{IncrementalDiffState, ProfileBuilderState, StreamingSegm
 use echowrite_spectro::EnhancerState;
 use std::fmt;
 
-/// State extraction for suspendable components: captures every dynamic
-/// field into a plain-data value that a snapshot codec can encode.
-///
-/// The inverse direction is intentionally not part of the trait: restoring
-/// needs the engine (to rebuild config-derived plans and validate the state
-/// against the configured geometry), so it lives on the concrete types —
-/// see [`StreamingSession::restore_state`](crate::StreamingSession::restore_state)
-/// and [`StreamingSession::from_state`](crate::StreamingSession::from_state).
-pub trait SnapshotState {
-    /// The captured plain-data state.
-    type State;
-
-    /// Captures the component's dynamic state.
-    fn export_state(&self) -> Self::State;
-}
-
 /// Complete dynamic state of one [`StreamingSession`](crate::StreamingSession).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionState {

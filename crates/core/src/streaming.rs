@@ -39,7 +39,7 @@ use crate::engine::EchoWrite;
 use crate::pipeline::{make_downconvert, roi_bins};
 use crate::session_state::{
     ChainState, DownState, FrontState, IncrementalState, ReplayState, RestoreError, SessionBody,
-    SessionState, SnapshotState,
+    SessionState,
 };
 use echowrite_dsp::downconvert::{BasebandScratch, BasebandStft, StreamingDownconverter};
 use echowrite_dsp::stft::{StftScratch, StreamingStft};
@@ -568,12 +568,13 @@ impl StreamingSession {
         self.samples_in = state.samples_in;
         Ok(())
     }
-}
 
-impl SnapshotState for StreamingSession {
-    type State = SessionState;
-
-    fn export_state(&self) -> SessionState {
+    /// Captures every dynamic field of this session into a plain-data
+    /// [`SessionState`] — the suspend half of
+    /// [`StreamingSession::from_state`]/[`StreamingSession::restore_state`].
+    /// Config-derived plans are not captured; they are rebuilt from the
+    /// restoring engine.
+    pub fn export_state(&self) -> SessionState {
         let body = match &self.inner {
             Inner::Replay(r) => SessionBody::Replay(r.export_state()),
             Inner::Incremental(inc) => SessionBody::Incremental(inc.export_state()),
@@ -997,6 +998,7 @@ impl Incremental {
     /// this layer validates the front-end cursors (whose stage-level
     /// restores are infallible) and the cross-stage column accounting.
     fn restore_state(&mut self, state: &IncrementalState) -> Result<(), RestoreError> {
+        let frames_in = Self::validate_chain(state)?;
         match (&mut self.front, &state.front) {
             (Front::Full { sstft, .. }, FrontState::Full(fs)) => sstft.restore_state(fs),
             (Front::Down(d), FrontState::Down(ds)) => {
@@ -1020,14 +1022,44 @@ impl Incremental {
             .restore_state(&state.chain.segmenter)
             .map_err(RestoreError::Invalid)?;
         self.chain.acc.clear();
-        let frames_in = restore_usize(state.frames_in, "frame counter out of range")?;
-        if frames_in != state.chain.enhancer.raw_n {
-            return Err(RestoreError::Invalid("frame counter disagrees with enhancer columns"));
-        }
         self.frames_in = frames_in;
         self.emitted_until = restore_usize(state.emitted_until, "emitted_until out of range")?;
         self.seg_scratch.clear();
         Ok(())
+    }
+
+    /// Cross-stage accounting: each stage's counters must agree with its
+    /// neighbours' exactly as the push path keeps them, which ties every
+    /// counter to `frames_in` (itself bounded by [`restore_usize`]). Returns
+    /// the validated frame counter.
+    fn validate_chain(state: &IncrementalState) -> Result<usize, RestoreError> {
+        let frames_in = restore_usize(state.frames_in, "frame counter out of range")?;
+        let ChainState { enhancer, builder, diff, segmenter } = &state.chain;
+        // The builder emits a smoothed shift per column once two are in,
+        // and the last one at finish.
+        let shifts = if builder.finished { builder.m } else { builder.m.saturating_sub(1) };
+        // A finish below five inputs flushes `m` zeros without counting them.
+        let accs = if diff.finished && diff.m < 5 { diff.m } else { diff.emitted };
+        let checks = [
+            (frames_in == enhancer.raw_n, "frame counter disagrees with enhancer columns"),
+            (
+                builder.m == enhancer.holes.next_emit,
+                "profile columns disagree with enhancer output",
+            ),
+            (diff.m == shifts, "differentiator inputs disagree with profile output"),
+            (
+                segmenter.shifts_base.checked_add(segmenter.shifts.len()) == Some(diff.m),
+                "segmenter shifts disagree with differentiator inputs",
+            ),
+            (
+                segmenter.acc_base.checked_add(segmenter.acc.len()) == Some(accs),
+                "segmenter accelerations disagree with differentiator output",
+            ),
+        ];
+        match checks.iter().find(|(ok, _)| !ok) {
+            Some(&(_, what)) => Err(RestoreError::Invalid(what)),
+            None => Ok(frames_in),
+        }
     }
 
     /// Structural checks for the decimating front-end: the stage-level
@@ -1606,9 +1638,8 @@ mod tests {
         for (g, w) in got.iter().zip(want) {
             assert_eq!(g.start_frame, w.start_frame);
             assert_eq!(g.end_frame, w.end_frame);
-            let (gc, wc) = match (&g.classification, &w.classification) {
-                (Some(gc), Some(wc)) => (gc, wc),
-                _ => panic!("classified runs must classify every event"),
+            let (Some(gc), Some(wc)) = (&g.classification, &w.classification) else {
+                panic!("classified runs must classify every event");
             };
             assert_eq!(gc.stroke, wc.stroke);
             assert_eq!(gc.distances, wc.distances, "DTW distances must be bitwise equal");
@@ -1712,10 +1743,8 @@ mod tests {
         let mut s = StreamingSession::new(e);
         let mut ev = Vec::new();
         s.push_events(e, &render(&[Stroke::S2], 3), true, &mut ev);
-        let good = s.export_state();
-
         // Frame counter disagreeing with the enhancer's column count.
-        let mut bad = good.clone();
+        let mut bad = s.export_state();
         if let SessionBody::Incremental(is) = &mut bad.body {
             is.frames_in += 1;
         }
@@ -1725,8 +1754,7 @@ mod tests {
         let down_e = EchoWrite::with_config(EchoWriteConfig::streaming_downsampled(32));
         let mut ds = StreamingSession::new(&down_e);
         ds.push_events(&down_e, &render(&[Stroke::S2], 3), true, &mut ev);
-        let good = ds.export_state();
-        let mut bad = good.clone();
+        let mut bad = ds.export_state();
         if let SessionBody::Incremental(is) = &mut bad.body {
             if let FrontState::Down(d) = &mut is.front {
                 d.sdc.total_in += 7;
@@ -1741,13 +1769,56 @@ mod tests {
         let e = engine();
         let mut r = StreamingSession::new(e);
         r.push_events(e, &render_with_tail(&[Stroke::S2], 3, 1.2), true, &mut ev);
-        let good = r.export_state();
-        let mut bad = good.clone();
+        let mut bad = r.export_state();
         if let SessionBody::Replay(rs) = &mut bad.body {
             let bg = rs.background.as_mut().expect("background must be frozen");
             bg.pop();
         }
         assert!(matches!(StreamingSession::from_state(e, &bad), Err(RestoreError::Invalid(_))));
+    }
+
+    /// Counters crafted to overflow the push path's index arithmetic (one
+    /// wire `Import` frame can carry any of them) are refused at restore,
+    /// instead of panicking there or on the next push.
+    #[test]
+    fn restore_rejects_crafted_counters() {
+        let e = streaming_engine();
+        let mut s = StreamingSession::new(e);
+        let mut ev = Vec::new();
+        s.push_events(e, &render(&[Stroke::S2], 3), true, &mut ev);
+        let good = s.export_state();
+        use echowrite_profile::SegmenterPhase;
+        type Craft = fn(&mut ChainState);
+        let crafted: [(&str, Craft); 6] = [
+            ("enhancer.raw_base", |c| c.enhancer.raw_base = usize::MAX),
+            ("segmenter.shifts_base", |c| c.segmenter.shifts_base = usize::MAX),
+            ("builder.m", |c| c.builder.m = usize::MAX),
+            ("diff.m", |c| c.diff.m = usize::MAX),
+            ("segmenter scan past a wrapped tape", |c| {
+                c.segmenter.shifts_base = usize::MAX - 100;
+                c.segmenter.shifts = vec![0.0; 200];
+                c.segmenter.phase = SegmenterPhase::Scan { i: usize::MAX };
+            }),
+            ("segmenter scan past its tape", |c| {
+                c.segmenter.phase = SegmenterPhase::Scan { i: usize::MAX };
+            }),
+        ];
+        for (what, craft) in crafted {
+            let mut bad = good.clone();
+            let SessionBody::Incremental(is) = &mut bad.body else {
+                panic!("streaming() sessions are incremental");
+            };
+            craft(&mut is.chain);
+            assert!(
+                matches!(StreamingSession::from_state(e, &bad), Err(RestoreError::Invalid(_))),
+                "{what}: crafted state restored"
+            );
+            let mut pooled = StreamingSession::new(e);
+            assert!(
+                matches!(pooled.restore_state(e, &bad), Err(RestoreError::Invalid(_))),
+                "{what}: crafted state restored in place"
+            );
+        }
     }
 
     /// The serving layer's degraded mode: with `classify` false a session

@@ -331,18 +331,6 @@ impl Tape {
     }
 }
 
-/// Interpreter position inside the batch scan loop.
-#[derive(Debug, Clone, Copy)]
-enum SegState {
-    /// Outer loop at index `i`, not armed.
-    Scan { i: usize },
-    /// Armed at `i` with backtracked `start`; forward search at `k`.
-    Forward { i: usize, start: usize, k: usize },
-    /// Segment ended at `end` (already emitted/filtered); waiting to learn
-    /// `min(end_run, n − end)` for the resume index.
-    Gap { end: usize },
-}
-
 /// A [`Segmenter`](crate::Segmenter) that consumes profile frames one at a
 /// time.
 ///
@@ -364,7 +352,8 @@ pub struct StreamingSegmenter {
     hop_us: f64,
     shifts: Tape,
     acc: Tape,
-    state: SegState,
+    /// Interpreter position inside the batch scan loop.
+    phase: SegmenterPhase,
     finished: bool,
 }
 
@@ -390,7 +379,7 @@ impl StreamingSegmenter {
             cfg,
             shifts: Tape::default(),
             acc: Tape::default(),
-            state: SegState::Scan { i: 0 },
+            phase: SegmenterPhase::Scan { i: 0 },
             finished: false,
         }
     }
@@ -400,7 +389,7 @@ impl StreamingSegmenter {
     pub fn reset(&mut self) {
         self.shifts.clear();
         self.acc.clear();
-        self.state = SegState::Scan { i: 0 };
+        self.phase = SegmenterPhase::Scan { i: 0 };
         self.finished = false;
     }
 
@@ -437,8 +426,8 @@ impl StreamingSegmenter {
         let n_sh = self.shifts.len();
         let n_ac = self.acc.len();
         loop {
-            match self.state {
-                SegState::Scan { i } => {
+            match self.phase {
+                SegmenterPhase::Scan { i } => {
                     let run_end = i + self.cfg.arm_run;
                     let avail = n_ac.min(run_end);
                     // Any below-β frame inside the window kills this arm
@@ -446,7 +435,7 @@ impl StreamingSegmenter {
                     let failed = i < avail
                         && self.acc.range(i, avail).iter().any(|a| a.abs() <= self.beta);
                     if failed {
-                        self.state = SegState::Scan { i: i + 1 };
+                        self.phase = SegmenterPhase::Scan { i: i + 1 };
                         continue;
                     }
                     if n_ac < run_end {
@@ -454,12 +443,12 @@ impl StreamingSegmenter {
                     }
                     let (start, best) = self.backtrack(i);
                     if best > self.cfg.start_max_hz {
-                        self.state = SegState::Scan { i: i + 1 };
+                        self.phase = SegmenterPhase::Scan { i: i + 1 };
                         continue;
                     }
-                    self.state = SegState::Forward { i, start, k: i + 1 };
+                    self.phase = SegmenterPhase::Forward { i, start, k: i + 1 };
                 }
-                SegState::Forward { i, start, k } => {
+                SegmenterPhase::Forward { i, start, k } => {
                     // Quiet check: any hot frame in the available prefix
                     // fails it for every n; a complete all-quiet window
                     // passes it for every n.
@@ -489,7 +478,7 @@ impl StreamingSegmenter {
                         if rest_pass && n_ac >= k {
                             true
                         } else if hot && viol {
-                            self.state = SegState::Forward { i, start, k: k + 1 };
+                            self.phase = SegmenterPhase::Forward { i, start, k: k + 1 };
                             continue;
                         } else {
                             return; // undecidable until more data or finish
@@ -498,17 +487,17 @@ impl StreamingSegmenter {
                     if end_decided {
                         let end = k;
                         self.emit(start, end, out);
-                        self.state = SegState::Gap { end };
+                        self.phase = SegmenterPhase::Gap { end };
                     }
                 }
-                SegState::Gap { end } => {
+                SegmenterPhase::Gap { end } => {
                     // Resume index needs min(end_run, n − end); decidable
                     // once the full quiet run fits before the tape head.
                     if n_sh < end + self.cfg.end_run {
                         return;
                     }
                     let next = end + self.cfg.end_run;
-                    self.state = SegState::Scan { i: next };
+                    self.phase = SegmenterPhase::Scan { i: next };
                     let low = next.saturating_sub(self.cfg.max_backtrack);
                     self.shifts.trim_to(low);
                     self.acc.trim_to(low);
@@ -530,15 +519,15 @@ impl StreamingSegmenter {
             return;
         }
         debug_assert_eq!(self.acc.len(), n, "acceleration not fully fed before finish");
-        match self.state {
-            SegState::Scan { i } => self.batch_from(i, n, out),
-            SegState::Forward { i, start, k } => {
+        match self.phase {
+            SegmenterPhase::Scan { i } => self.batch_from(i, n, out),
+            SegmenterPhase::Forward { i, start, k } => {
                 let end = self.forward_from(k, n);
                 self.emit(start, end, out);
                 let next = end.max(i + 1) + self.cfg.end_run.min(n - end.min(n));
                 self.batch_from(next, n, out);
             }
-            SegState::Gap { end } => {
+            SegmenterPhase::Gap { end } => {
                 let next = end + self.cfg.end_run.min(n - end);
                 self.batch_from(next, n, out);
             }
@@ -617,11 +606,7 @@ impl StreamingSegmenter {
             shifts: self.shifts.data.clone(),
             acc_base: self.acc.base,
             acc: self.acc.data.clone(),
-            phase: match self.state {
-                SegState::Scan { i } => SegmenterPhase::Scan { i },
-                SegState::Forward { i, start, k } => SegmenterPhase::Forward { i, start, k },
-                SegState::Gap { end } => SegmenterPhase::Gap { end },
-            },
+            phase: self.phase,
             finished: self.finished,
         }
     }
@@ -632,14 +617,21 @@ impl StreamingSegmenter {
     /// The segmenter must have been built with the same config and hop the
     /// state was exported under.
     pub fn restore_state(&mut self, state: &StreamingSegmenterState) -> Result<(), &'static str> {
-        let n_sh = state.shifts_base + state.shifts.len();
-        let n_ac = state.acc_base + state.acc.len();
+        let (Some(n_sh), Some(n_ac)) = (
+            state.shifts_base.checked_add(state.shifts.len()),
+            state.acc_base.checked_add(state.acc.len()),
+        ) else {
+            return Err("segmenter state: tape length overflows");
+        };
         if n_ac > n_sh {
             return Err("segmenter state: acceleration tape ahead of shifts");
         }
         let bases_ok = |limit: usize| state.shifts_base <= limit && state.acc_base <= limit;
         match state.phase {
             SegmenterPhase::Scan { i } => {
+                if i > n_sh {
+                    return Err("segmenter state: scan position past the shift tape");
+                }
                 if !bases_ok(i.saturating_sub(self.cfg.max_backtrack)) {
                     return Err("segmenter state: tapes trimmed past the scan window");
                 }
@@ -664,11 +656,7 @@ impl StreamingSegmenter {
         self.acc.data.clear();
         self.acc.data.extend_from_slice(&state.acc);
         self.acc.base = state.acc_base;
-        self.state = match state.phase {
-            SegmenterPhase::Scan { i } => SegState::Scan { i },
-            SegmenterPhase::Forward { i, start, k } => SegState::Forward { i, start, k },
-            SegmenterPhase::Gap { end } => SegState::Gap { end },
-        };
+        self.phase = state.phase;
         self.finished = state.finished;
         Ok(())
     }
@@ -707,8 +695,8 @@ impl StreamingSegmenter {
     }
 }
 
-/// The streaming segmenter's interpreter position, mirrored into a public
-/// shape for state export (see [`StreamingSegmenter::export_state`]).
+/// The streaming segmenter's interpreter position inside the batch scan
+/// loop; exported as-is (see [`StreamingSegmenter::export_state`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmenterPhase {
     /// Outer loop at index `i`, not armed.
@@ -725,7 +713,8 @@ pub enum SegmenterPhase {
         /// Forward search position.
         k: usize,
     },
-    /// Segment ended at `end`; waiting to learn the resume index.
+    /// Segment ended at `end` (already emitted or filtered); waiting to
+    /// learn `min(end_run, n − end)` for the resume index.
     Gap {
         /// Frame the stroke ended at.
         end: usize,
@@ -1035,7 +1024,6 @@ mod tests {
             let seg_state = seg.export_state();
             let diff_state = diff.export_state();
             drop(seg);
-            drop(diff);
             let mut seg = StreamingSegmenter::new(SegmentConfig::paper(), HOP);
             seg.restore_state(&seg_state).expect("valid exported state");
             let mut diff = IncrementalDiff::new();

@@ -32,7 +32,7 @@ use echowrite_trace::{
     flight_to_chrome_json, EventKind, FlightEntry, FlightRing, SmallStr, Stage, TraceEvent,
     TICK_UNSET,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
@@ -440,6 +440,7 @@ impl SessionManager {
                 store: store.clone(),
                 drain_on_exit: drain_on_exit.clone(),
                 sessions: BTreeMap::new(),
+                unrestorable: BTreeSet::new(),
                 pool: Vec::new(),
                 scratch: Vec::new(),
                 dsp_scratch: SharedDspScratch::new(),
@@ -908,6 +909,10 @@ struct Worker {
     /// Live sessions pinned to this shard (ordered map: deterministic
     /// iteration for the reaper).
     sessions: BTreeMap<u64, Slot>,
+    /// Ids whose stored snapshot failed to restore under this engine. The
+    /// bytes stay in the store, but thaw does not retry them until this
+    /// shard itself writes or takes that id's bytes (suspend, export).
+    unrestorable: BTreeSet<u64>,
     /// Finished/reaped session state kept for reuse — the arena that makes
     /// open/close cheap (a reset touches counters, not allocations).
     pool: Vec<StreamingSession>,
@@ -1109,12 +1114,16 @@ impl Worker {
     /// the session is now live. On a decode/restore failure the bytes go
     /// back into the store untouched (a manager restarted under the engine
     /// that wrote them can still resume the session), the failure is
-    /// counted in `thaw_failures`, and the caller falls through to its
+    /// counted in `thaw_failures`, the id is remembered as unrestorable so
+    /// later commands do not retry it, and the caller falls through to its
     /// unknown-id behaviour.
     fn thaw(&mut self, id: u64, admit: bool) -> bool {
         let Some(store) = self.store.as_ref() else {
             return false;
         };
+        if self.unrestorable.contains(&id) {
+            return false;
+        }
         let Ok(Some(bytes)) = store.remove(id) else {
             return false;
         };
@@ -1125,13 +1134,7 @@ impl Worker {
             self.metrics.sessions_shed.inc();
             return false;
         }
-        let mut session = match self.pool.pop() {
-            Some(mut s) => {
-                s.reset(&self.engine);
-                s
-            }
-            None => StreamingSession::new(&self.engine),
-        };
+        let mut session = self.pooled_session();
         match restore_in_place(&mut session, &bytes, &self.engine) {
             Ok(()) => {
                 self.sessions.insert(
@@ -1163,9 +1166,21 @@ impl Worker {
                     self.admission.release();
                 }
                 self.metrics.thaw_failures.inc();
+                self.unrestorable.insert(id);
                 self.park(id, bytes);
                 false
             }
+        }
+    }
+
+    /// A fresh session: a reset one from the pool, or a new one.
+    fn pooled_session(&mut self) -> StreamingSession {
+        match self.pool.pop() {
+            Some(mut s) => {
+                s.reset(&self.engine);
+                s
+            }
+            None => StreamingSession::new(&self.engine),
         }
     }
 
@@ -1199,6 +1214,7 @@ impl Worker {
         };
         let bytes = snapshot_session(&slot.session, &self.engine);
         let stored = store.put(id, bytes).is_ok();
+        self.unrestorable.remove(&id);
         slot.session.reset(&self.engine);
         self.pool.push(slot.session);
         self.admission.release();
@@ -1261,6 +1277,7 @@ impl Worker {
         {
             // Already suspended: its live-count bookkeeping happened at
             // suspend time, so the bytes just change owners.
+            self.unrestorable.remove(&id);
             Some(bytes)
         } else {
             self.metrics.orphan_commands.inc();
@@ -1281,13 +1298,7 @@ impl Worker {
             let _ = reply.send(false);
             return;
         }
-        let mut session = match self.pool.pop() {
-            Some(mut s) => {
-                s.reset(&self.engine);
-                s
-            }
-            None => StreamingSession::new(&self.engine),
-        };
+        let mut session = self.pooled_session();
         let ok = match restore_in_place(&mut session, bytes, &self.engine) {
             Ok(()) => {
                 self.sessions.insert(
@@ -1344,13 +1355,7 @@ impl Worker {
         if self.thaw(id, false) {
             return;
         }
-        let session = match self.pool.pop() {
-            Some(mut s) => {
-                s.reset(&self.engine);
-                s
-            }
-            None => StreamingSession::new(&self.engine),
-        };
+        let session = self.pooled_session();
         self.sessions
             .insert(id, Slot { session, last_active: self.clock_samples, samples_in: 0 });
         self.metrics.sessions_opened.inc();
@@ -2036,8 +2041,8 @@ mod tests {
         assert_eq!(report.metrics.sessions_suspended, 1, "drain suspends the live session");
         assert_eq!(store.sessions().expect("store list"), vec![id.0]);
 
-        let second = SessionManager::with_snapshot_store(snap_engine(), cfg, store.clone())
-            .expect("second manager");
+        let second =
+            SessionManager::with_snapshot_store(snap_engine(), cfg, store).expect("second manager");
         // No re-open: the bare push must thaw the drained session.
         assert_eq!(second.push(id, b), SubmitVerdict::Enqueued);
         assert_eq!(second.finish(id), SubmitVerdict::Enqueued);
@@ -2050,6 +2055,66 @@ mod tests {
         assert_eq!(second.metrics().sessions_resumed.get(), 1);
         assert_eq!(second.metrics().orphan_commands.get(), 0);
         assert_eq!(second.live_sessions(), 0);
+    }
+
+    /// A [`MemoryStore`] that counts `put` and `remove` calls.
+    #[derive(Debug, Default)]
+    struct CountingStore {
+        inner: MemoryStore,
+        puts: AtomicU64,
+        removes: AtomicU64,
+    }
+
+    impl SnapshotStore for CountingStore {
+        fn put(&self, session: u64, bytes: Vec<u8>) -> Result<(), echowrite_snapshot::StoreError> {
+            // ordering: Relaxed — a test tally read after quiesce().
+            self.puts.fetch_add(1, Ordering::Relaxed);
+            self.inner.put(session, bytes)
+        }
+
+        fn remove(&self, session: u64) -> Result<Option<Vec<u8>>, echowrite_snapshot::StoreError> {
+            // ordering: Relaxed — a test tally read after quiesce().
+            self.removes.fetch_add(1, Ordering::Relaxed);
+            self.inner.remove(session)
+        }
+
+        fn contains(&self, session: u64) -> Result<bool, echowrite_snapshot::StoreError> {
+            self.inner.contains(session)
+        }
+
+        fn sessions(&self) -> Result<Vec<u64>, echowrite_snapshot::StoreError> {
+            self.inner.sessions()
+        }
+    }
+
+    /// A snapshot that will not restore is tried once: later commands for
+    /// its id neither take the bytes out of the store nor park them back,
+    /// until the shard itself takes them (here, by exporting the id).
+    #[test]
+    fn unrestorable_snapshot_is_not_retried() {
+        let store = Arc::new(CountingStore::default());
+        let id = SessionId(5);
+        let corrupt = b"EWSN torn mid-write".to_vec();
+        store.inner.put(id.0, corrupt.clone()).expect("memory put");
+        let cfg = ServeConfig { shards: Parallelism::Threads(1), ..ServeConfig::default() };
+        let m = SessionManager::with_snapshot_store(snap_engine(), cfg, store.clone())
+            .expect("valid config");
+        for _ in 0..3 {
+            assert_eq!(m.push(id, &[0.0; 1024]), SubmitVerdict::Enqueued);
+        }
+        m.quiesce();
+        // ordering: Relaxed — the shard finished every command (quiesce).
+        let tally = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        assert_eq!(tally(&store.removes), 1, "the bytes are taken out once");
+        assert_eq!(tally(&store.puts), 1, "and parked back once");
+        assert_eq!(m.metrics().thaw_failures.get(), 1);
+        assert_eq!(m.metrics().orphan_commands.get(), 3);
+        assert!(store.contains(id.0).expect("store read"), "the bytes stay in the store");
+        assert_eq!(m.export_session(id), Some(corrupt), "export hands the bytes over");
+        let _ = m.push(id, &[0.0; 1024]);
+        m.quiesce();
+        assert_eq!(tally(&store.removes), 3, "an emptied id is looked up again");
+        assert_eq!(m.metrics().thaw_failures.get(), 1);
     }
 
     /// `SuspendToStore` without a store is a construction error, not a

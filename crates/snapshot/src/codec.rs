@@ -11,35 +11,21 @@
 //! ```text
 //! snapshot    := header body
 //! header      := magic:"EWSN" version:u16 fingerprint:u64
-//!                flavor:u8 finished:u8 samples_in:u64
+//!                flavor:u8 finished:bool samples_in:u64
 //! body        := replay | incremental          -- selected by flavor
-//!
-//! replay      := buffer:vec<f64> background:opt<vec<f64>> dropped:u64
-//!                emitted:vec<(u64,u64)> emitted_until:u64 max_samples:u64
-//!
-//! incremental := front chain frames_in:u64 emitted_until:u64
 //! front       := 0x01 stft | 0x02 down
-//! stft        := pending:vec<f64> total_in:u64
-//! down        := sdc baseband:vec<complex> base:u64 next_frame:u64
-//! sdc         := buffer:vec<f64> base:u64 total_in:u64 k:u64 rotator:complex
-//! chain       := enhancer builder diff segmenter
-//! enhancer    := raw_base:u64 raw_cols:vec<vec<f64>> raw_n:u64 med_n:u64
-//!                pre_bg:vec<vec<f64>> background:opt<vec<f64>>
-//!                thr_base:u64 thr_cols:vec<vec<f64>> thr_n:u64 h_n:u64
-//!                holes finished:bool
-//! holes       := parent:vec<u64> border:vec<bool> last_col:vec<u64>
-//!                frontier:vec<(u64,u64,u64)>
-//!                pending:vec<(vec<f64>, vec<(u64,u64,u64)>)>
-//!                pushed:u64 next_emit:u64
-//! builder     := tail:f64[3] m:u64 finished:bool
-//! diff        := tail:f64[5] m:u64 emitted:u64 finished:bool
-//! segmenter   := shifts_base:u64 shifts:vec<f64> acc_base:u64 acc:vec<f64>
-//!                phase finished:bool
 //! phase       := 0x01 i:u64 | 0x02 i:u64 start:u64 k:u64 | 0x03 end:u64
-//! complex     := re:f64 im:f64
+//! struct      := its fields in field-table order, nothing between them
+//! vec<T>      := count:u64 T*count
 //! opt<T>      := 0x00 | 0x01 T
+//! (A, B, ..)  := A B ..                        -- tuples and [T; N] alike
 //! bool        := 0x00 | 0x01
 //! ```
+//!
+//! Every other section (`replay`, `incremental`, `stft`, `down`, the
+//! enhancer, …) is a plain struct: its wire layout is the field table in
+//! this file, one `Type as "name" { field: wire_type, … }` entry per state
+//! type, read and written in the listed order.
 //!
 //! # Version and compatibility policy
 //!
@@ -63,7 +49,7 @@
 
 use echowrite::{
     ChainState, DownState, EchoWrite, EchoWriteConfig, FrontState, IncrementalState, ReplayState,
-    RestoreError, SessionBody, SessionState, SnapshotState, StreamingSession,
+    RestoreError, SessionBody, SessionState, StreamingSession,
 };
 use echowrite_dsp::downconvert::StreamingDownconverterState;
 use echowrite_dsp::stft::StreamingStftState;
@@ -161,89 +147,18 @@ impl From<RestoreError> for SnapshotError {
 /// deterministic (no pointers, no hash iteration) and `f64` fields print
 /// with round-trip precision, so equal configs always fingerprint equally.
 pub fn config_fingerprint(config: &EchoWriteConfig) -> u64 {
-    let repr = format!("{config:?}");
+    fnv1a(format!("{config:?}").as_bytes())
+}
+
+/// FNV-1a 64 of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in repr.as_bytes() {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
-
-// ---------------------------------------------------------------------------
-// Writer
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64(out, v as u64);
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    put_u8(out, u8::from(v));
-}
-
-fn put_complex(out: &mut Vec<u8>, c: Complex) {
-    put_f64(out, c.re);
-    put_f64(out, c.im);
-}
-
-fn put_f64s(out: &mut Vec<u8>, v: &[f64]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        put_f64(out, x);
-    }
-}
-
-fn put_usizes(out: &mut Vec<u8>, v: &[usize]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        put_usize(out, x);
-    }
-}
-
-fn put_cols(out: &mut Vec<u8>, cols: &[Vec<f64>]) {
-    put_u64(out, cols.len() as u64);
-    for col in cols {
-        put_f64s(out, col);
-    }
-}
-
-fn put_opt_f64s(out: &mut Vec<u8>, v: Option<&Vec<f64>>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(xs) => {
-            put_u8(out, 1);
-            put_f64s(out, xs);
-        }
-    }
-}
-
-fn put_triples(out: &mut Vec<u8>, v: &[(usize, usize, usize)]) {
-    put_u64(out, v.len() as u64);
-    for &(a, b, c) in v {
-        put_usize(out, a);
-        put_usize(out, b);
-        put_usize(out, c);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reader
 
 /// Length-checked sequential reader over the snapshot payload. Every read
 /// validates bounds first; no method panics on any input.
@@ -253,10 +168,6 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
     fn remaining(&self) -> usize {
         self.buf.len().saturating_sub(self.pos)
     }
@@ -268,111 +179,8 @@ impl<'a> Reader<'a> {
         Ok(bytes)
     }
 
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        let b = self.take(1)?;
-        b.first().copied().ok_or(SnapshotError::Truncated)
-    }
-
-    fn u16(&mut self) -> Result<u16, SnapshotError> {
-        let b = <[u8; 2]>::try_from(self.take(2)?).map_err(|_| SnapshotError::Truncated)?;
-        Ok(u16::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = <[u8; 8]>::try_from(self.take(8)?).map_err(|_| SnapshotError::Truncated)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn usize_(&mut self, what: &'static str) -> Result<usize, SnapshotError> {
-        usize::try_from(self.u64()?).map_err(|_| SnapshotError::Malformed(what))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool_(&mut self, what: &'static str) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Malformed(what)),
-        }
-    }
-
-    fn complex(&mut self) -> Result<Complex, SnapshotError> {
-        let re = self.f64()?;
-        let im = self.f64()?;
-        Ok(Complex { re, im })
-    }
-
-    /// Reads a length prefix and checks `n * elem_size` fits in the
-    /// remaining payload, so the caller can `Vec::with_capacity(n)` safely.
-    fn len(&mut self, elem_size: usize, what: &'static str) -> Result<usize, SnapshotError> {
-        let n = self.usize_(what)?;
-        match n.checked_mul(elem_size) {
-            Some(bytes) if bytes <= self.remaining() => Ok(n),
-            _ => Err(SnapshotError::Truncated),
-        }
-    }
-
-    fn f64s(&mut self, what: &'static str) -> Result<Vec<f64>, SnapshotError> {
-        let n = self.len(8, what)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.f64()?);
-        }
-        Ok(v)
-    }
-
-    fn usizes(&mut self, what: &'static str) -> Result<Vec<usize>, SnapshotError> {
-        let n = self.len(8, what)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.usize_(what)?);
-        }
-        Ok(v)
-    }
-
-    fn bools(&mut self, what: &'static str) -> Result<Vec<bool>, SnapshotError> {
-        let n = self.len(1, what)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.bool_(what)?);
-        }
-        Ok(v)
-    }
-
-    fn cols(&mut self, what: &'static str) -> Result<Vec<Vec<f64>>, SnapshotError> {
-        // Each column costs at least its own 8-byte length prefix.
-        let n = self.len(8, what)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.f64s(what)?);
-        }
-        Ok(v)
-    }
-
-    fn opt_f64s(&mut self, what: &'static str) -> Result<Option<Vec<f64>>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64s(what)?)),
-            _ => Err(SnapshotError::Malformed(what)),
-        }
-    }
-
-    fn triples(
-        &mut self,
-        what: &'static str,
-    ) -> Result<Vec<(usize, usize, usize)>, SnapshotError> {
-        let n = self.len(24, what)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            let a = self.usize_(what)?;
-            let b = self.usize_(what)?;
-            let c = self.usize_(what)?;
-            v.push((a, b, c));
-        }
-        Ok(v)
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        <[u8; N]>::try_from(self.take(N)?).map_err(|_| SnapshotError::Truncated)
     }
 
     fn done(&self) -> Result<(), SnapshotError> {
@@ -384,135 +192,273 @@ impl<'a> Reader<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Section encoders
+/// A value with a place in the wire grammar.
+///
+/// `what` names the field being read, for [`SnapshotError::Malformed`].
+/// The method names are deliberately unlike any hot-path method: echolint
+/// resolves a call on an unknown receiver to every method of that name.
+trait Wire: Sized {
+    /// The fewest bytes one encoded value occupies. A `vec` count is
+    /// checked against `count × MIN_BYTES ≤ remaining` before anything is
+    /// allocated.
+    const MIN_BYTES: usize;
 
-fn encode_replay(out: &mut Vec<u8>, s: &ReplayState) {
-    put_f64s(out, &s.buffer);
-    put_opt_f64s(out, s.background.as_ref());
-    put_u64(out, s.dropped_frames);
-    put_u64(out, s.emitted.len() as u64);
-    for &(a, b) in &s.emitted {
-        put_u64(out, a);
-        put_u64(out, b);
-    }
-    put_u64(out, s.emitted_until);
-    put_u64(out, s.max_samples);
+    /// Appends the encoding of `self`.
+    fn wire_put(&self, out: &mut Vec<u8>);
+
+    /// Reads one value strictly: truncation and ill-formed values are
+    /// typed errors, never panics.
+    fn wire_read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, SnapshotError>;
 }
 
-fn encode_stft(out: &mut Vec<u8>, s: &StreamingStftState) {
-    put_f64s(out, &s.pending);
-    put_u64(out, s.total_in);
-}
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
 
-fn encode_sdc(out: &mut Vec<u8>, s: &StreamingDownconverterState) {
-    put_f64s(out, &s.buffer);
-    put_u64(out, s.base);
-    put_u64(out, s.total_in);
-    put_u64(out, s.k);
-    put_complex(out, s.rotator);
-}
+            fn wire_put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
 
-fn encode_down(out: &mut Vec<u8>, s: &DownState) {
-    encode_sdc(out, &s.sdc);
-    put_u64(out, s.baseband.len() as u64);
-    for &c in &s.baseband {
-        put_complex(out, c);
-    }
-    put_u64(out, s.base);
-    put_u64(out, s.next_frame);
-}
-
-fn encode_holes(out: &mut Vec<u8>, s: &HoleFillerState) {
-    put_usizes(out, &s.parent);
-    put_u64(out, s.border.len() as u64);
-    for &b in &s.border {
-        put_bool(out, b);
-    }
-    put_usizes(out, &s.last_col);
-    put_triples(out, &s.frontier);
-    put_u64(out, s.pending.len() as u64);
-    for (col, runs) in &s.pending {
-        put_f64s(out, col);
-        put_triples(out, runs);
-    }
-    put_usize(out, s.pushed);
-    put_usize(out, s.next_emit);
-}
-
-fn encode_enhancer(out: &mut Vec<u8>, s: &EnhancerState) {
-    put_usize(out, s.raw_base);
-    put_cols(out, &s.raw_cols);
-    put_usize(out, s.raw_n);
-    put_usize(out, s.med_n);
-    put_cols(out, &s.pre_bg);
-    put_opt_f64s(out, s.background.as_ref());
-    put_usize(out, s.thr_base);
-    put_cols(out, &s.thr_cols);
-    put_usize(out, s.thr_n);
-    put_usize(out, s.h_n);
-    encode_holes(out, &s.holes);
-    put_bool(out, s.finished);
-}
-
-fn encode_builder(out: &mut Vec<u8>, s: &ProfileBuilderState) {
-    for &x in &s.tail {
-        put_f64(out, x);
-    }
-    put_usize(out, s.m);
-    put_bool(out, s.finished);
-}
-
-fn encode_diff(out: &mut Vec<u8>, s: &IncrementalDiffState) {
-    for &x in &s.tail {
-        put_f64(out, x);
-    }
-    put_usize(out, s.m);
-    put_usize(out, s.emitted);
-    put_bool(out, s.finished);
-}
-
-fn encode_segmenter(out: &mut Vec<u8>, s: &StreamingSegmenterState) {
-    put_usize(out, s.shifts_base);
-    put_f64s(out, &s.shifts);
-    put_usize(out, s.acc_base);
-    put_f64s(out, &s.acc);
-    match s.phase {
-        SegmenterPhase::Scan { i } => {
-            put_u8(out, PHASE_SCAN);
-            put_usize(out, i);
+            fn wire_read(r: &mut Reader<'_>, _: &'static str) -> Result<Self, SnapshotError> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
         }
-        SegmenterPhase::Forward { i, start, k } => {
-            put_u8(out, PHASE_FORWARD);
-            put_usize(out, i);
-            put_usize(out, start);
-            put_usize(out, k);
-        }
-        SegmenterPhase::Gap { end } => {
-            put_u8(out, PHASE_GAP);
-            put_usize(out, end);
+    )*};
+}
+
+wire_int!(u8, u16, u64);
+
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+
+    fn wire_put(&self, out: &mut Vec<u8>) {
+        (*self as u64).wire_put(out);
+    }
+
+    fn wire_read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, SnapshotError> {
+        usize::try_from(u64::wire_read(r, what)?).map_err(|_| SnapshotError::Malformed(what))
+    }
+}
+
+impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
+
+    fn wire_put(&self, out: &mut Vec<u8>) {
+        self.to_bits().wire_put(out);
+    }
+
+    fn wire_read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, SnapshotError> {
+        Ok(f64::from_bits(u64::wire_read(r, what)?))
+    }
+}
+
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+
+    fn wire_put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+
+    fn wire_read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, SnapshotError> {
+        match u8::wire_read(r, what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(SnapshotError::Malformed(what)),
         }
     }
-    put_bool(out, s.finished);
 }
 
-fn encode_incremental(out: &mut Vec<u8>, s: &IncrementalState) {
-    match &s.front {
-        FrontState::Full(stft) => {
-            put_u8(out, FRONT_FULL);
-            encode_stft(out, stft);
-        }
-        FrontState::Down(down) => {
-            put_u8(out, FRONT_DOWN);
-            encode_down(out, down);
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 8;
+
+    fn wire_put(&self, out: &mut Vec<u8>) {
+        self.len().wire_put(out);
+        for x in self {
+            x.wire_put(out);
         }
     }
-    encode_enhancer(out, &s.chain.enhancer);
-    encode_builder(out, &s.chain.builder);
-    encode_diff(out, &s.chain.diff);
-    encode_segmenter(out, &s.chain.segmenter);
-    put_u64(out, s.frames_in);
-    put_u64(out, s.emitted_until);
+
+    fn wire_read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, SnapshotError> {
+        let n = usize::wire_read(r, what)?;
+        match n.checked_mul(T::MIN_BYTES.max(1)) {
+            Some(bytes) if bytes <= r.remaining() => {}
+            _ => return Err(SnapshotError::Truncated),
+        }
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::wire_read(r, what)?);
+        }
+        Ok(v)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+
+    fn wire_put(&self, out: &mut Vec<u8>) {
+        self.is_some().wire_put(out);
+        if let Some(x) = self {
+            x.wire_put(out);
+        }
+    }
+
+    fn wire_read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, SnapshotError> {
+        Ok(if bool::wire_read(r, what)? { Some(T::wire_read(r, what)?) } else { None })
+    }
+}
+
+macro_rules! wire_tuple {
+    ($(($($t:ident $i:tt),+))*) => {$(
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN_BYTES: usize = 0 $(+ $t::MIN_BYTES)+;
+
+            fn wire_put(&self, out: &mut Vec<u8>) {
+                $(self.$i.wire_put(out);)+
+            }
+
+            fn wire_read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, SnapshotError> {
+                Ok(($($t::wire_read(r, what)?,)+))
+            }
+        }
+    )*};
+}
+
+wire_tuple!((A 0, B 1) (A 0, B 1, C 2));
+
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    const MIN_BYTES: usize = T::MIN_BYTES * N;
+
+    fn wire_put(&self, out: &mut Vec<u8>) {
+        for x in self {
+            x.wire_put(out);
+        }
+    }
+
+    fn wire_read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, SnapshotError> {
+        let mut a = [T::default(); N];
+        for x in &mut a {
+            *x = T::wire_read(r, what)?;
+        }
+        Ok(a)
+    }
+}
+
+/// The field tables: one entry per state struct, listing every field with
+/// its wire type in wire order. The struct literal in `wire_read` names
+/// every field, so a field missing from a table, or a type that disagrees
+/// with the struct's, does not compile. Adding a field here changes the
+/// bytes: bump [`VERSION`] and re-record the golden hashes in the tests.
+macro_rules! wire_structs {
+    ($($ty:ident as $name:literal { $($field:ident: $fty:ty),+ $(,)? })*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty as Wire>::MIN_BYTES)+;
+
+            fn wire_put(&self, out: &mut Vec<u8>) {
+                $(<$fty as Wire>::wire_put(&self.$field, out);)+
+            }
+
+            fn wire_read(r: &mut Reader<'_>, _: &'static str) -> Result<Self, SnapshotError> {
+                // Struct-literal fields evaluate in the order written.
+                Ok($ty {
+                    $($field: <$fty as Wire>::wire_read(
+                        r,
+                        concat!($name, ".", stringify!($field)),
+                    )?,)+
+                })
+            }
+        }
+    )*};
+}
+
+/// Background runs `(r0, r1, node)` of one hole-filler column.
+type Runs = Vec<(usize, usize, usize)>;
+
+wire_structs! {
+    ReplayState as "replay" {
+        buffer: Vec<f64>, background: Option<Vec<f64>>, dropped_frames: u64,
+        emitted: Vec<(u64, u64)>, emitted_until: u64, max_samples: u64,
+    }
+    IncrementalState as "incremental" {
+        front: FrontState, chain: ChainState, frames_in: u64, emitted_until: u64,
+    }
+    StreamingStftState as "stft" { pending: Vec<f64>, total_in: u64 }
+    DownState as "down" {
+        sdc: StreamingDownconverterState, baseband: Vec<Complex>, base: u64, next_frame: u64,
+    }
+    StreamingDownconverterState as "sdc" {
+        buffer: Vec<f64>, base: u64, total_in: u64, k: u64, rotator: Complex,
+    }
+    Complex as "complex" { re: f64, im: f64 }
+    ChainState as "chain" {
+        enhancer: EnhancerState, builder: ProfileBuilderState, diff: IncrementalDiffState,
+        segmenter: StreamingSegmenterState,
+    }
+    EnhancerState as "enhancer" {
+        raw_base: usize, raw_cols: Vec<Vec<f64>>, raw_n: usize, med_n: usize,
+        pre_bg: Vec<Vec<f64>>, background: Option<Vec<f64>>,
+        thr_base: usize, thr_cols: Vec<Vec<f64>>, thr_n: usize, h_n: usize,
+        holes: HoleFillerState, finished: bool,
+    }
+    HoleFillerState as "holes" {
+        parent: Vec<usize>, border: Vec<bool>, last_col: Vec<usize>, frontier: Runs,
+        pending: Vec<(Vec<f64>, Runs)>, pushed: usize, next_emit: usize,
+    }
+    ProfileBuilderState as "builder" { tail: [f64; 3], m: usize, finished: bool }
+    IncrementalDiffState as "diff" { tail: [f64; 5], m: usize, emitted: usize, finished: bool }
+    StreamingSegmenterState as "segmenter" {
+        shifts_base: usize, shifts: Vec<f64>, acc_base: usize, acc: Vec<f64>,
+        phase: SegmenterPhase, finished: bool,
+    }
+}
+
+impl Wire for FrontState {
+    const MIN_BYTES: usize = 1 + StreamingStftState::MIN_BYTES;
+
+    fn wire_put(&self, out: &mut Vec<u8>) {
+        match self {
+            FrontState::Full(stft) => {
+                FRONT_FULL.wire_put(out);
+                stft.wire_put(out);
+            }
+            FrontState::Down(down) => {
+                FRONT_DOWN.wire_put(out);
+                down.wire_put(out);
+            }
+        }
+    }
+
+    fn wire_read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, SnapshotError> {
+        match u8::wire_read(r, what)? {
+            FRONT_FULL => Ok(FrontState::Full(Wire::wire_read(r, what)?)),
+            FRONT_DOWN => Ok(FrontState::Down(Wire::wire_read(r, what)?)),
+            _ => Err(SnapshotError::Malformed("front tag")),
+        }
+    }
+}
+
+impl Wire for SegmenterPhase {
+    const MIN_BYTES: usize = 9;
+
+    fn wire_put(&self, out: &mut Vec<u8>) {
+        match *self {
+            SegmenterPhase::Scan { i } => (PHASE_SCAN, i).wire_put(out),
+            SegmenterPhase::Forward { i, start, k } => (PHASE_FORWARD, (i, start, k)).wire_put(out),
+            SegmenterPhase::Gap { end } => (PHASE_GAP, end).wire_put(out),
+        }
+    }
+
+    fn wire_read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, SnapshotError> {
+        match u8::wire_read(r, what)? {
+            PHASE_SCAN => Ok(SegmenterPhase::Scan { i: Wire::wire_read(r, what)? }),
+            PHASE_FORWARD => {
+                let (i, start, k) = Wire::wire_read(r, what)?;
+                Ok(SegmenterPhase::Forward { i, start, k })
+            }
+            PHASE_GAP => Ok(SegmenterPhase::Gap { end: Wire::wire_read(r, what)? }),
+            _ => Err(SnapshotError::Malformed("segmenter.phase tag")),
+        }
+    }
 }
 
 /// Encodes a session state into the versioned binary snapshot form, stamped
@@ -520,174 +466,18 @@ fn encode_incremental(out: &mut Vec<u8>, s: &IncrementalState) {
 pub fn encode(state: &SessionState, config: &EchoWriteConfig) -> Vec<u8> {
     let mut out = Vec::with_capacity(4096);
     out.extend_from_slice(&MAGIC);
-    put_u16(&mut out, VERSION);
-    put_u64(&mut out, config_fingerprint(config));
+    VERSION.wire_put(&mut out);
+    config_fingerprint(config).wire_put(&mut out);
     let flavor = match &state.body {
         SessionBody::Replay(_) => FLAVOR_REPLAY,
         SessionBody::Incremental(_) => FLAVOR_INCREMENTAL,
     };
-    put_u8(&mut out, flavor);
-    put_bool(&mut out, state.finished);
-    put_u64(&mut out, state.samples_in);
+    (flavor, state.finished, state.samples_in).wire_put(&mut out);
     match &state.body {
-        SessionBody::Replay(r) => encode_replay(&mut out, r),
-        SessionBody::Incremental(i) => encode_incremental(&mut out, i),
+        SessionBody::Replay(r) => r.wire_put(&mut out),
+        SessionBody::Incremental(i) => i.wire_put(&mut out),
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Section decoders
-
-fn decode_replay(r: &mut Reader<'_>) -> Result<ReplayState, SnapshotError> {
-    let buffer = r.f64s("replay.buffer")?;
-    let background = r.opt_f64s("replay.background")?;
-    let dropped_frames = r.u64()?;
-    let n = r.len(16, "replay.emitted")?;
-    let mut emitted = Vec::with_capacity(n);
-    for _ in 0..n {
-        let a = r.u64()?;
-        let b = r.u64()?;
-        emitted.push((a, b));
-    }
-    let emitted_until = r.u64()?;
-    let max_samples = r.u64()?;
-    Ok(ReplayState { buffer, background, dropped_frames, emitted, emitted_until, max_samples })
-}
-
-fn decode_stft(r: &mut Reader<'_>) -> Result<StreamingStftState, SnapshotError> {
-    let pending = r.f64s("stft.pending")?;
-    let total_in = r.u64()?;
-    Ok(StreamingStftState { pending, total_in })
-}
-
-fn decode_sdc(r: &mut Reader<'_>) -> Result<StreamingDownconverterState, SnapshotError> {
-    let buffer = r.f64s("sdc.buffer")?;
-    let base = r.u64()?;
-    let total_in = r.u64()?;
-    let k = r.u64()?;
-    let rotator = r.complex()?;
-    Ok(StreamingDownconverterState { buffer, base, total_in, k, rotator })
-}
-
-fn decode_down(r: &mut Reader<'_>) -> Result<DownState, SnapshotError> {
-    let sdc = decode_sdc(r)?;
-    let n = r.len(16, "down.baseband")?;
-    let mut baseband = Vec::with_capacity(n);
-    for _ in 0..n {
-        baseband.push(r.complex()?);
-    }
-    let base = r.u64()?;
-    let next_frame = r.u64()?;
-    Ok(DownState { sdc, baseband, base, next_frame })
-}
-
-fn decode_holes(r: &mut Reader<'_>) -> Result<HoleFillerState, SnapshotError> {
-    let parent = r.usizes("holes.parent")?;
-    let border = r.bools("holes.border")?;
-    let last_col = r.usizes("holes.last_col")?;
-    let frontier = r.triples("holes.frontier")?;
-    // Each pending entry costs at least two 8-byte length prefixes.
-    let n = r.len(16, "holes.pending")?;
-    let mut pending = Vec::with_capacity(n);
-    for _ in 0..n {
-        let col = r.f64s("holes.pending.col")?;
-        let runs = r.triples("holes.pending.runs")?;
-        pending.push((col, runs));
-    }
-    let pushed = r.usize_("holes.pushed")?;
-    let next_emit = r.usize_("holes.next_emit")?;
-    Ok(HoleFillerState { parent, border, last_col, frontier, pending, pushed, next_emit })
-}
-
-fn decode_enhancer(r: &mut Reader<'_>) -> Result<EnhancerState, SnapshotError> {
-    let raw_base = r.usize_("enhancer.raw_base")?;
-    let raw_cols = r.cols("enhancer.raw_cols")?;
-    let raw_n = r.usize_("enhancer.raw_n")?;
-    let med_n = r.usize_("enhancer.med_n")?;
-    let pre_bg = r.cols("enhancer.pre_bg")?;
-    let background = r.opt_f64s("enhancer.background")?;
-    let thr_base = r.usize_("enhancer.thr_base")?;
-    let thr_cols = r.cols("enhancer.thr_cols")?;
-    let thr_n = r.usize_("enhancer.thr_n")?;
-    let h_n = r.usize_("enhancer.h_n")?;
-    let holes = decode_holes(r)?;
-    let finished = r.bool_("enhancer.finished")?;
-    Ok(EnhancerState {
-        raw_base,
-        raw_cols,
-        raw_n,
-        med_n,
-        pre_bg,
-        background,
-        thr_base,
-        thr_cols,
-        thr_n,
-        h_n,
-        holes,
-        finished,
-    })
-}
-
-fn decode_builder(r: &mut Reader<'_>) -> Result<ProfileBuilderState, SnapshotError> {
-    let mut tail = [0.0; 3];
-    for t in &mut tail {
-        *t = r.f64()?;
-    }
-    let m = r.usize_("builder.m")?;
-    let finished = r.bool_("builder.finished")?;
-    Ok(ProfileBuilderState { tail, m, finished })
-}
-
-fn decode_diff(r: &mut Reader<'_>) -> Result<IncrementalDiffState, SnapshotError> {
-    let mut tail = [0.0; 5];
-    for t in &mut tail {
-        *t = r.f64()?;
-    }
-    let m = r.usize_("diff.m")?;
-    let emitted = r.usize_("diff.emitted")?;
-    let finished = r.bool_("diff.finished")?;
-    Ok(IncrementalDiffState { tail, m, emitted, finished })
-}
-
-fn decode_segmenter(r: &mut Reader<'_>) -> Result<StreamingSegmenterState, SnapshotError> {
-    let shifts_base = r.usize_("segmenter.shifts_base")?;
-    let shifts = r.f64s("segmenter.shifts")?;
-    let acc_base = r.usize_("segmenter.acc_base")?;
-    let acc = r.f64s("segmenter.acc")?;
-    let phase = match r.u8()? {
-        PHASE_SCAN => SegmenterPhase::Scan { i: r.usize_("segmenter.phase.i")? },
-        PHASE_FORWARD => {
-            let i = r.usize_("segmenter.phase.i")?;
-            let start = r.usize_("segmenter.phase.start")?;
-            let k = r.usize_("segmenter.phase.k")?;
-            SegmenterPhase::Forward { i, start, k }
-        }
-        PHASE_GAP => SegmenterPhase::Gap { end: r.usize_("segmenter.phase.end")? },
-        _ => return Err(SnapshotError::Malformed("segmenter.phase tag")),
-    };
-    let finished = r.bool_("segmenter.finished")?;
-    Ok(StreamingSegmenterState { shifts_base, shifts, acc_base, acc, phase, finished })
-}
-
-fn decode_incremental(r: &mut Reader<'_>) -> Result<IncrementalState, SnapshotError> {
-    let front = match r.u8()? {
-        FRONT_FULL => FrontState::Full(decode_stft(r)?),
-        FRONT_DOWN => FrontState::Down(decode_down(r)?),
-        _ => return Err(SnapshotError::Malformed("front tag")),
-    };
-    let enhancer = decode_enhancer(r)?;
-    let builder = decode_builder(r)?;
-    let diff = decode_diff(r)?;
-    let segmenter = decode_segmenter(r)?;
-    let frames_in = r.u64()?;
-    let emitted_until = r.u64()?;
-    Ok(IncrementalState {
-        front,
-        chain: ChainState { enhancer, builder, diff, segmenter },
-        frames_in,
-        emitted_until,
-    })
 }
 
 /// Decodes a snapshot back into a session state, verifying the header
@@ -697,25 +487,25 @@ fn decode_incremental(r: &mut Reader<'_>) -> Result<IncrementalState, SnapshotEr
 /// truncation, ill-formed values, and trailing bytes each produce their
 /// own [`SnapshotError`]; no input panics.
 pub fn decode(bytes: &[u8], config: &EchoWriteConfig) -> Result<SessionState, SnapshotError> {
-    let mut r = Reader::new(bytes);
+    let mut r = Reader { buf: bytes, pos: 0 };
     if r.take(4)? != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = r.u16()?;
+    let version = u16::wire_read(&mut r, "header.version")?;
     if version != VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-    let found = r.u64()?;
+    let found = u64::wire_read(&mut r, "header.fingerprint")?;
     let expected = config_fingerprint(config);
     if found != expected {
         return Err(SnapshotError::ConfigMismatch { expected, found });
     }
-    let flavor = r.u8()?;
-    let finished = r.bool_("header.finished")?;
-    let samples_in = r.u64()?;
+    let flavor = u8::wire_read(&mut r, "header.flavor")?;
+    let finished = bool::wire_read(&mut r, "header.finished")?;
+    let samples_in = u64::wire_read(&mut r, "header.samples_in")?;
     let body = match flavor {
-        FLAVOR_REPLAY => SessionBody::Replay(decode_replay(&mut r)?),
-        FLAVOR_INCREMENTAL => SessionBody::Incremental(decode_incremental(&mut r)?),
+        FLAVOR_REPLAY => SessionBody::Replay(Wire::wire_read(&mut r, "replay")?),
+        FLAVOR_INCREMENTAL => SessionBody::Incremental(Wire::wire_read(&mut r, "incremental")?),
         other => return Err(SnapshotError::BadFlavor(other)),
     };
     r.done()?;
@@ -730,13 +520,7 @@ pub fn decode(bytes: &[u8], config: &EchoWriteConfig) -> Result<SessionState, Sn
 pub fn snapshot_session(session: &StreamingSession, engine: &EchoWrite) -> Vec<u8> {
     let state = session.export_state();
     let bytes = encode(&state, engine.config());
-    span(
-        Stage::Snapshot,
-        "encode",
-        samples_to_us(state.samples_in, engine.config().stft.sample_rate),
-        0,
-        bytes.len() as f64,
-    );
+    trace_span(engine, "encode", &state, &bytes);
     bytes
 }
 
@@ -745,13 +529,7 @@ pub fn snapshot_session(session: &StreamingSession, engine: &EchoWrite) -> Vec<u
 pub fn restore_session(bytes: &[u8], engine: &EchoWrite) -> Result<StreamingSession, SnapshotError> {
     let state = decode(bytes, engine.config())?;
     let session = StreamingSession::from_state(engine, &state)?;
-    span(
-        Stage::Snapshot,
-        "restore",
-        samples_to_us(state.samples_in, engine.config().stft.sample_rate),
-        0,
-        bytes.len() as f64,
-    );
+    trace_span(engine, "restore", &state, bytes);
     Ok(session)
 }
 
@@ -765,14 +543,15 @@ pub fn restore_in_place(
 ) -> Result<(), SnapshotError> {
     let state = decode(bytes, engine.config())?;
     session.restore_state(engine, &state)?;
-    span(
-        Stage::Snapshot,
-        "restore",
-        samples_to_us(state.samples_in, engine.config().stft.sample_rate),
-        0,
-        bytes.len() as f64,
-    );
+    trace_span(engine, "restore", &state, bytes);
     Ok(())
+}
+
+/// One `snapshot`-lane span at the session's audio clock, valued by the
+/// snapshot's size in bytes.
+fn trace_span(engine: &EchoWrite, name: &'static str, state: &SessionState, bytes: &[u8]) {
+    let tick = samples_to_us(state.samples_in, engine.config().stft.sample_rate);
+    span(Stage::Snapshot, name, tick, 0, bytes.len() as f64);
 }
 
 #[cfg(test)]
@@ -811,9 +590,8 @@ mod tests {
         for (g, w) in got.iter().zip(want) {
             assert_eq!(g.start_frame, w.start_frame);
             assert_eq!(g.end_frame, w.end_frame);
-            let (gc, wc) = match (&g.classification, &w.classification) {
-                (Some(gc), Some(wc)) => (gc, wc),
-                _ => panic!("classified runs must classify every event"),
+            let (Some(gc), Some(wc)) = (&g.classification, &w.classification) else {
+                panic!("classified runs must classify every event");
             };
             assert_eq!(gc.stroke, wc.stroke);
             assert_eq!(gc.distances, wc.distances, "DTW distances must be bitwise equal");
@@ -982,5 +760,151 @@ mod tests {
         dirty.push_events(&engine, &audio, true, &mut ev); // unrelated state
         restore_in_place(&mut dirty, &bytes, &engine).expect("restore_in_place");
         assert_eq!(dirty.export_state(), clean.export_state());
+    }
+
+    /// A counter that decodes cleanly but would overflow the push path is
+    /// refused by the session at restore, not by a panic on the next push.
+    #[test]
+    fn restore_in_place_refuses_crafted_counters() {
+        let engine = EchoWrite::with_config(EchoWriteConfig::streaming());
+        let mut state = mid_session_state(&engine, &render(&[Stroke::S2], 3));
+        let SessionBody::Incremental(is) = &mut state.body else {
+            panic!("streaming() sessions are incremental");
+        };
+        is.chain.diff.m = usize::MAX;
+        let bytes = encode(&state, engine.config());
+        let mut session = StreamingSession::new(&engine);
+        assert!(matches!(
+            restore_in_place(&mut session, &bytes, &engine),
+            Err(SnapshotError::Restore(RestoreError::Invalid(_)))
+        ));
+    }
+
+    /// Distinct, exactly representable sample values; `i` picks one.
+    fn val(i: usize) -> f64 {
+        [0.5, -1.25, 3.0e-7, 4096.0, -0.0, 1.0e300, f64::MIN_POSITIVE, -7.75][i % 8]
+    }
+
+    fn vals(from: usize, n: usize) -> Vec<f64> {
+        (from..from + n).map(val).collect()
+    }
+
+    /// A hand-built chain state touching every field of every stage. With
+    /// `frozen` the background is set; otherwise the lead-in is buffering.
+    fn golden_chain(phase: SegmenterPhase, frozen: bool) -> ChainState {
+        ChainState {
+            enhancer: EnhancerState {
+                raw_base: 17,
+                raw_cols: vec![vals(0, 3), vals(3, 3)],
+                raw_n: 19,
+                med_n: 18,
+                pre_bg: if frozen { Vec::new() } else { vec![vals(5, 3)] },
+                background: frozen.then(|| vals(1, 3)),
+                thr_base: 11,
+                thr_cols: vec![vals(2, 3), vals(6, 3), vals(7, 3)],
+                thr_n: 14,
+                h_n: 12,
+                holes: HoleFillerState {
+                    parent: vec![0, 2, 2, 5, 4, 5],
+                    border: vec![true, false, true, false, false, true],
+                    last_col: vec![9, 10, 11, 11, 12, 12],
+                    frontier: vec![(0, 1, 4), (2, 2, 5)],
+                    pending: vec![(vals(4, 3), vec![(1, 2, 3)]), (vals(1, 3), Vec::new())],
+                    pushed: 12,
+                    next_emit: 10,
+                },
+                finished: false,
+            },
+            builder: ProfileBuilderState { tail: [val(0), val(1), val(3)], m: 13, finished: false },
+            diff: IncrementalDiffState {
+                tail: [val(1), val(2), val(3), val(4), val(7)],
+                m: 12,
+                emitted: 10,
+                finished: frozen,
+            },
+            segmenter: StreamingSegmenterState {
+                shifts_base: 2,
+                shifts: vals(0, 10),
+                acc_base: 1,
+                acc: vals(3, 9),
+                phase,
+                finished: false,
+            },
+        }
+    }
+
+    /// One hand-built state per body flavour and segmenter phase, so the
+    /// pin does not depend on the SIMD backend's DSP output.
+    fn golden_states() -> Vec<(&'static str, SessionState)> {
+        let replay = |background, emitted| {
+            SessionBody::Replay(ReplayState {
+                buffer: vals(2, 7),
+                background,
+                dropped_frames: 7,
+                emitted,
+                emitted_until: 30,
+                max_samples: 576_000,
+            })
+        };
+        let stft = StreamingStftState { pending: vals(1, 5), total_in: 81_920 };
+        let full = |phase| {
+            SessionBody::Incremental(IncrementalState {
+                front: FrontState::Full(stft.clone()),
+                chain: golden_chain(phase, true),
+                frames_in: 19,
+                emitted_until: 9,
+            })
+        };
+        let rotator = Complex { re: val(0), im: val(7) };
+        let down = SessionBody::Incremental(IncrementalState {
+            front: FrontState::Down(DownState {
+                sdc: StreamingDownconverterState {
+                    buffer: vals(4, 6),
+                    base: 65_000,
+                    total_in: 65_006,
+                    k: 2_031,
+                    rotator,
+                },
+                baseband: vec![rotator, Complex { re: val(3), im: val(5) }],
+                base: 2_029,
+                next_frame: 15,
+            }),
+            chain: golden_chain(SegmenterPhase::Forward { i: 8, start: 6, k: 10 }, false),
+            frames_in: 19,
+            emitted_until: 0,
+        });
+        let session = |finished, samples_in, body| SessionState { finished, samples_in, body };
+        let emitted = vec![(1, 9), (12, 30)];
+        vec![
+            ("replay, background", session(false, 12_345, replay(Some(vals(0, 4)), emitted))),
+            ("replay, no background", session(true, 99, replay(None, Vec::new()))),
+            ("full-rate, scan", session(false, 81_920, full(SegmenterPhase::Scan { i: 4 }))),
+            ("down-converted, forward", session(false, 65_006, down)),
+            ("full-rate, gap", session(true, 81_920, full(SegmenterPhase::Gap { end: 7 }))),
+        ]
+    }
+
+    /// Pins the wire format: `decode(encode(s)) == s` holds for any
+    /// self-consistent grammar, so a byte change without a `VERSION` bump
+    /// would otherwise pass every test. The fingerprint bytes are zeroed so
+    /// the pin is about the grammar, not the configuration's `Debug` text.
+    #[test]
+    fn wire_format_is_pinned_by_golden_hashes() {
+        let config = EchoWriteConfig::streaming();
+        let mut got = Vec::new();
+        for (name, state) in golden_states() {
+            let mut bytes = encode(&state, &config);
+            assert_eq!(decode(&bytes, &config).expect(name), state, "{name}: round trip");
+            bytes[6..14].fill(0);
+            got.push((name, fnv1a(&bytes)));
+        }
+        let want = [
+            ("replay, background", 0xbcdf_6324_aa4b_3242),
+            ("replay, no background", 0x082d_c782_07cf_7f48),
+            ("full-rate, scan", 0xc6c6_5f1a_7d33_a06e),
+            ("down-converted, forward", 0x0173_92d0_4577_fa9d),
+            ("full-rate, gap", 0xd99c_2de0_65c4_2250),
+        ];
+        assert_eq!(got, want, "snapshot bytes changed: bump VERSION and re-record these hashes");
     }
 }

@@ -387,13 +387,14 @@ impl IncrementalEnhancer {
                 return Err("enhancer state: lead-in buffer at or past the freeze point");
             }
         }
-        if state.raw_base + state.raw_cols.len() != state.raw_n
+        if state.raw_base.checked_add(state.raw_cols.len()) != Some(state.raw_n)
             || state.med_n > state.raw_n
             || state.raw_base > state.med_n.saturating_sub(self.mhalf)
         {
             return Err("enhancer state: inconsistent raw column window");
         }
-        if state.thr_base + state.thr_cols.len() != state.thr_n
+        if state.thr_base.checked_add(state.thr_cols.len()) != Some(state.thr_n)
+            || state.thr_n > state.med_n
             || state.h_n > state.thr_n
             || state.thr_base > state.h_n.saturating_sub(self.ghalf)
         {
@@ -720,7 +721,7 @@ impl HoleFiller {
                 return Err("hole filler state: pending column out of range");
             }
         }
-        if state.next_emit + state.pending.len() != state.pushed {
+        if state.next_emit.checked_add(state.pending.len()) != Some(state.pushed) {
             return Err("hole filler state: column counters disagree");
         }
         self.parent = state.parent.clone();

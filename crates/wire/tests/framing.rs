@@ -36,7 +36,7 @@ fn response_from_spec(selector: u8, session: u64, n: usize) -> Response {
         1 => Response::QueueFull { request_id, session, retry_after_chunks: n as u64 },
         2 => Response::Shedding { request_id, session },
         3 => {
-            let classification = if n % 2 == 0 {
+            let classification = if n.is_multiple_of(2) {
                 let mut distances = [0.0f64; STROKE_COUNT];
                 let mut scores = [0.0f64; STROKE_COUNT];
                 for (i, d) in distances.iter_mut().enumerate() {
