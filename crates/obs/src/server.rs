@@ -12,7 +12,8 @@
 //! |------------------------|--------|-----------------------------------------|
 //! | `/metrics`             | GET    | Prometheus text exposition              |
 //! | `/healthz`             | GET    | process liveness (always `200` while up)|
-//! | `/readyz`              | GET    | `503` while shedding or shutting down   |
+//! | `/readyz`              | GET    | `503` while shedding, while a shard     |
+//! |                        |        | worker has exited, or shutting down     |
 //! | `/sessions`            | GET    | live + suspended session table, JSON    |
 //! | `/trace/start`         | POST   | install the global recording sink       |
 //! | `/trace/stop`          | POST   | gate off, keep the sink for dumping     |
@@ -140,6 +141,7 @@ fn route(shared: &Shared, request: &HttpRequest) -> (u16, &'static str, String) 
         // all, it answers 200 — readiness is the manager-state probe.
         (Method::Get, "/healthz") => (200, TEXT_TYPE, "ok\n".to_string()),
         (Method::Get, "/readyz") => match manager {
+            Some(m) if m.dead_shards() > 0 => (503, TEXT_TYPE, "shard worker exited\n".to_string()),
             Some(m) if m.is_shedding() => (503, TEXT_TYPE, "shedding\n".to_string()),
             Some(_) => (200, TEXT_TYPE, "ready\n".to_string()),
             None => (503, TEXT_TYPE, "manager has shut down\n".to_string()),

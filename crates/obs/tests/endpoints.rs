@@ -6,7 +6,7 @@
 use echowrite::{EchoWrite, EchoWriteConfig, Parallelism};
 use echowrite_obs::ObsServer;
 use echowrite_serve::{ReapPolicy, Request, ServeConfig, SessionId, SessionManager};
-use echowrite_snapshot::{MemoryStore, SnapshotStore};
+use echowrite_snapshot::{MemoryStore, SnapshotStore, StoreError};
 use echowrite_wire::{FrameDecoder, Response, WireClient, WireServer};
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -133,8 +133,56 @@ fn readyz_reflects_shed_state_and_manager_loss() {
     }
     let (status, _) = get(addr, "/healthz");
     assert_eq!(status_code(&status), 200);
+    obs.shutdown();
+
+    // A shard whose worker has exited fails readiness: here the worker
+    // panics reading the store for a push to an unknown id.
+    let engine = EchoWrite::with_config(EchoWriteConfig::streaming());
+    let m = Arc::new(
+        SessionManager::with_snapshot_store(engine, one_shard(), Arc::new(PanickingStore))
+            .expect("valid config"),
+    );
+    let obs = ObsServer::bind("127.0.0.1:0", Arc::downgrade(&m)).expect("bind");
+    let addr = obs.local_addr();
+    let (status, _) = get(addr, "/readyz");
+    assert_eq!(status_code(&status), 200, "every shard worker running");
+    let _ = m.push(SessionId(9), &[0.0; 1024]);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let (status, body) = loop {
+        let (status, body) = get(addr, "/readyz");
+        if status_code(&status) == 503 || Instant::now() > deadline {
+            break (status, body);
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(status_code(&status), 503, "a dead shard must fail readiness: {body}");
+    assert_eq!(body, "shard worker exited\n");
+    let (status, _) = get(addr, "/healthz");
+    assert_eq!(status_code(&status), 200, "liveness is not readiness");
 
     obs.shutdown();
+}
+
+/// A store whose every read panics, to kill the shard worker that reads it.
+#[derive(Debug)]
+struct PanickingStore;
+
+impl SnapshotStore for PanickingStore {
+    fn put(&self, _: u64, _: Vec<u8>) -> Result<(), StoreError> {
+        Ok(())
+    }
+
+    fn remove(&self, _: u64) -> Result<Option<Vec<u8>>, StoreError> {
+        panic!("store read panicked")
+    }
+
+    fn contains(&self, _: u64) -> Result<bool, StoreError> {
+        Ok(false)
+    }
+
+    fn sessions(&self) -> Result<Vec<u64>, StoreError> {
+        Ok(Vec::new())
+    }
 }
 
 #[test]

@@ -24,7 +24,7 @@
 
 use crate::admission::AdmissionController;
 use crate::config::{ReapPolicy, ServeConfig};
-use crate::metrics::ServeMetrics;
+use crate::metrics::{Counter, ServeMetrics};
 use echowrite::{EchoWrite, SegmentEvent, SharedDspScratch, StreamingSession};
 use echowrite_profile::Stopwatch;
 use echowrite_snapshot::{restore_in_place, snapshot_session, SnapshotStore};
@@ -33,10 +33,9 @@ use echowrite_trace::{
     TICK_UNSET,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Scan for idle sessions every this many processed commands.
@@ -120,6 +119,9 @@ enum Cmd {
     Introspect { reply: SyncSender<Vec<SessionInfo>> },
     /// Snapshot the shard's flight ring, optionally one session's rows.
     FlightDump { session: Option<u64>, reply: SyncSender<Vec<FlightEntry>> },
+    /// [`SessionManager::quiesce`]'s barrier: the worker replies once it
+    /// reaches it, so every command queued ahead of it has run.
+    Barrier { reply: SyncSender<()> },
 }
 
 /// Why a flight-recorder dump was triggered (DESIGN.md §6.11). The reason
@@ -225,59 +227,81 @@ pub struct SessionInfo {
     pub last_active_tick_us: u64,
 }
 
-/// Outstanding-command counter backing [`SessionManager::quiesce`] —
-/// a condvar, not a sleep loop, so no duration is ever chosen.
+/// What the manager and every shard worker share, built once by
+/// [`SessionManager::build`].
+struct Shared {
+    engine: EchoWrite,
+    config: ServeConfig,
+    /// The authoritative live-session count; it moves only through
+    /// [`Shared::admit`] and [`Shared::release`].
+    admission: AdmissionController,
+    metrics: Arc<ServeMetrics>,
+    /// The workers' side of the event channel.
+    events: Sender<ServeEvent>,
+    /// Snapshot store for suspend/thaw/export and the shutdown drain.
+    store: Option<Arc<dyn SnapshotStore>>,
+    /// Set by [`SessionManager::shutdown_to_store`]: each worker suspends
+    /// its remaining live sessions into the store when its queue closes.
+    drain_on_exit: AtomicBool,
+    /// Flight-dump trigger (shed latch, malformed frames, manual).
+    flight_ctl: FlightControl,
+}
+
+impl std::fmt::Debug for Shared {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Shared").field("config", &self.config).finish_non_exhaustive()
+    }
+}
+
+impl Shared {
+    /// Reserves one live-session slot; a refusal counts in
+    /// `sessions_shed`. The `sessions_live` gauge moves here and in
+    /// [`Shared::release`] only, so it equals the admission count
+    /// whenever neither call is in flight.
+    fn admit(&self) -> bool {
+        let admitted = self.admission.try_admit();
+        if admitted {
+            self.metrics.sessions_live.inc();
+        } else {
+            self.metrics.sessions_shed.inc();
+        }
+        admitted
+    }
+
+    /// Hands one live-session slot back.
+    fn release(&self) {
+        self.admission.release();
+        self.metrics.sessions_live.dec();
+    }
+}
+
+/// The counters a shard's submitters and its worker both touch.
 #[derive(Debug, Default)]
-struct Pending {
-    n: Mutex<u64>,
-    zero: Condvar,
-}
-
-impl Pending {
-    fn lock(&self) -> std::sync::MutexGuard<'_, u64> {
-        self.n.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn inc(&self) {
-        *self.lock() += 1;
-    }
-
-    fn dec(&self) {
-        let mut g = self.lock();
-        *g = g.saturating_sub(1);
-        if *g == 0 {
-            self.zero.notify_all();
-        }
-    }
-
-    fn wait_zero(&self) {
-        let mut g = self.lock();
-        while *g > 0 {
-            g = self.zero.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// Manager-side handle to one shard.
-struct ShardHandle {
-    tx: Option<SyncSender<Cmd>>,
-    depth: Arc<AtomicUsize>,
+struct ShardQueue {
+    /// Commands sent to the shard that its worker has not taken yet.
+    depth: AtomicUsize,
     /// Pushes enqueued to this shard so far (the deadline clock).
-    pushes_enqueued: Arc<AtomicU64>,
-    pending: Arc<Pending>,
-    join: Option<JoinHandle<()>>,
+    pushes_enqueued: AtomicU64,
     /// Audit log of every push seq the shard worker observed, for the
     /// unique-seq regression test (compiled out of release builds).
     #[cfg(test)]
-    seq_log: Arc<Mutex<Vec<u64>>>,
+    seq_log: Mutex<Vec<u64>>,
 }
 
-impl std::fmt::Debug for ShardHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardHandle")
-            // ordering: Relaxed — a debug snapshot; nothing is gated on it.
-            .field("depth", &self.depth.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
+/// Manager-side handle to one shard; derefs to the [`ShardQueue`] it
+/// shares with the shard's worker.
+#[derive(Debug)]
+struct ShardHandle {
+    tx: Option<SyncSender<Cmd>>,
+    queue: Arc<ShardQueue>,
+    join: Option<JoinHandle<()>>,
+}
+
+impl std::ops::Deref for ShardHandle {
+    type Target = ShardQueue;
+
+    fn deref(&self) -> &ShardQueue {
+        &self.queue
     }
 }
 
@@ -302,21 +326,10 @@ impl std::fmt::Debug for ShardHandle {
 #[derive(Debug)]
 pub struct SessionManager {
     shards: Vec<ShardHandle>,
-    admission: Arc<AdmissionController>,
-    metrics: Arc<ServeMetrics>,
+    shared: Arc<Shared>,
     /// The output side of the event channel; `None` after
     /// [`SessionManager::detach_events`] hands it to an external consumer.
     events: Mutex<Option<Receiver<ServeEvent>>>,
-    deadline_chunks: Option<u64>,
-    /// Snapshot store shared with every shard worker (suspend/thaw,
-    /// export of suspended sessions, shutdown drain).
-    store: Option<Arc<dyn SnapshotStore>>,
-    /// When set before the workers stop, each worker suspends its
-    /// remaining live sessions into the store on exit (crash-recovery
-    /// drain; see [`SessionManager::shutdown_to_store`]).
-    drain_on_exit: Arc<AtomicBool>,
-    /// Flight-dump trigger shared with every shard worker.
-    flight_ctl: Arc<FlightControl>,
     /// Edge detector for the shed trigger: set on the first shed, cleared
     /// once admission stops shedding, so a shed storm dumps once.
     shed_latched: AtomicBool,
@@ -326,8 +339,8 @@ pub struct SessionManager {
 /// [`SessionManager::detach_events`]): a *blocking* event consumer for a
 /// dedicated dispatcher thread, e.g. the wire front-end's router. Holds no
 /// reference to the manager, so the manager can be shut down while a
-/// dispatcher still drains the stream — `recv` returns `None` once every
-/// shard worker has exited and the channel is empty.
+/// dispatcher still drains the stream — `recv` returns `None` once the
+/// manager and every shard worker are gone and the channel is empty.
 #[derive(Debug)]
 pub struct EventStream {
     rx: Receiver<ServeEvent>,
@@ -408,76 +421,47 @@ impl SessionManager {
                     .to_string(),
             );
         }
-        let engine = Arc::new(engine);
-        let admission =
-            Arc::new(AdmissionController::new(config.max_sessions, config.high_water));
-        let metrics = Arc::new(ServeMetrics::new());
-        let (evt_tx, evt_rx) = mpsc::channel();
-        let drain_on_exit = Arc::new(AtomicBool::new(false));
-        let flight_ctl = Arc::new(FlightControl::default());
-        let flight_dir: Option<Arc<PathBuf>> = config.flight.artifact_dir.clone().map(Arc::new);
-        let mut shards = Vec::with_capacity(config.shard_count());
-        for shard_index in 0..config.shard_count() {
-            let (tx, rx) = mpsc::sync_channel(config.queue_capacity);
-            let depth = Arc::new(AtomicUsize::new(0));
-            let pushes_enqueued = Arc::new(AtomicU64::new(0));
-            let pending = Arc::new(Pending::default());
-            #[cfg(test)]
-            let seq_log = Arc::new(Mutex::new(Vec::new()));
-            let worker = Worker {
-                engine: engine.clone(),
-                rx,
-                events: evt_tx.clone(),
-                admission: admission.clone(),
-                metrics: metrics.clone(),
-                depth: depth.clone(),
-                pushes_enqueued: pushes_enqueued.clone(),
-                pending: pending.clone(),
-                deadline_chunks: config.deadline_chunks,
-                idle_timeout_samples: config.idle_timeout_samples,
-                batch_max: config.batch_max,
-                reap_policy: config.reap_policy,
-                store: store.clone(),
-                drain_on_exit: drain_on_exit.clone(),
-                sessions: BTreeMap::new(),
-                unrestorable: BTreeSet::new(),
-                pool: Vec::new(),
-                scratch: Vec::new(),
-                dsp_scratch: SharedDspScratch::new(),
-                clock_samples: 0,
-                commands_done: 0,
-                shard_index,
-                flight: FlightRing::new(config.flight.capacity),
-                flight_ctl: flight_ctl.clone(),
-                flight_seen: 0,
-                flight_dir: flight_dir.clone(),
-                flight_artifacts: 0,
-                churn_threshold: config.flight.churn_threshold,
-                churn_window: 0,
-                was_degraded: false,
-                #[cfg(test)]
-                seq_log: seq_log.clone(),
-            };
-            let join = std::thread::spawn(move || worker.run());
-            shards.push(ShardHandle {
-                tx: Some(tx),
-                depth,
-                pushes_enqueued,
-                pending,
-                join: Some(join),
-                #[cfg(test)]
-                seq_log,
-            });
-        }
+        let (events, evt_rx) = mpsc::channel();
+        let shared = Arc::new(Shared {
+            engine,
+            admission: AdmissionController::new(config.max_sessions, config.high_water),
+            metrics: Arc::new(ServeMetrics::new()),
+            events,
+            store,
+            drain_on_exit: AtomicBool::new(false),
+            flight_ctl: FlightControl::default(),
+            config,
+        });
+        let shards = (0..shared.config.shard_count())
+            .map(|shard_index| {
+                let (tx, rx) = mpsc::sync_channel(shared.config.queue_capacity);
+                let queue = Arc::new(ShardQueue::default());
+                let worker = Worker {
+                    shared: Arc::clone(&shared),
+                    queue: Arc::clone(&queue),
+                    rx,
+                    shard_index,
+                    sessions: BTreeMap::new(),
+                    unrestorable: BTreeSet::new(),
+                    pool: Vec::new(),
+                    scratch: Vec::new(),
+                    dsp_scratch: SharedDspScratch::new(),
+                    clock_samples: 0,
+                    commands_done: 0,
+                    flight: FlightRing::new(shared.config.flight.capacity),
+                    flight_seen: 0,
+                    flight_artifacts: 0,
+                    churn_window: 0,
+                    was_degraded: false,
+                };
+                let join = std::thread::spawn(move || worker.run());
+                ShardHandle { tx: Some(tx), queue, join: Some(join) }
+            })
+            .collect();
         Ok(SessionManager {
             shards,
-            admission,
-            metrics,
+            shared,
             events: Mutex::new(Some(evt_rx)),
-            deadline_chunks: config.deadline_chunks,
-            store,
-            drain_on_exit,
-            flight_ctl,
             shed_latched: AtomicBool::new(false),
         })
     }
@@ -501,20 +485,12 @@ impl SessionManager {
     pub fn submit_tagged(&self, request: Request<'_>, request_id: u64) -> SubmitVerdict {
         match request {
             Request::Open(id) => {
-                if !self.admission.try_admit() {
-                    self.metrics.sessions_shed.inc();
+                if !self.shared.admit() {
                     self.note_shed();
-                    if echowrite_trace::enabled() {
-                        echowrite_trace::instant(
-                            Stage::Serve,
-                            "session_shed",
-                            TICK_UNSET,
-                            SmallStr::from_display(id.0),
-                        );
-                    }
+                    trace_session(Stage::Serve, "session_shed", TICK_UNSET, id.0);
                     return SubmitVerdict::Shedding;
                 }
-                if !self.admission.is_shedding() {
+                if !self.shared.admission.is_shedding() {
                     // ordering: Relaxed — edge bookkeeping only; a stale
                     // read at worst delays the next shed dump by one open.
                     // echolint: allow(atomics-order) -- gates no data; the latch only dedups dump triggers
@@ -523,27 +499,23 @@ impl SessionManager {
                 let verdict = self.enqueue(id, Cmd::Open { id: id.0, req: request_id });
                 if verdict != SubmitVerdict::Enqueued {
                     // The slot reserved above was never used.
-                    self.admission.release();
-                }
-                if verdict == SubmitVerdict::Enqueued {
-                    self.metrics.sessions_live.inc();
+                    self.shared.release();
                 }
                 verdict
             }
             Request::Push(id, chunk) => {
-                let shard = self.shard_of(id);
+                let Some(shard) = self.shards.get(self.shard_of(id)) else {
+                    return SubmitVerdict::Shedding;
+                };
                 // Reserve the seq *before* the send (mirroring the `depth`
-                // accounting in `enqueue`): a load-then-increment here would
+                // accounting in `send`): a load-then-increment here would
                 // let two concurrent submitters observe the same counter
                 // value and stamp duplicate seqs, skewing the backlog `lag`
                 // the deadline policy degrades on.
                 // ordering: AcqRel — the reservation is both the publish
                 // (a later submitter's reservation sees it) and the acquire
                 // edge the worker's lag load pairs with.
-                let seq = match self.shards.get(shard) {
-                    Some(s) => s.pushes_enqueued.fetch_add(1, Ordering::AcqRel),
-                    None => 0,
-                };
+                let seq = shard.pushes_enqueued.fetch_add(1, Ordering::AcqRel);
                 let cmd = Cmd::Push {
                     id: id.0,
                     chunk: chunk.to_vec(),
@@ -556,9 +528,7 @@ impl SessionManager {
                     // The reservation was never enqueued; return it so the
                     // backlog clock does not drift on rejected submissions.
                     // ordering: AcqRel — pairs with the reservation above.
-                    if let Some(s) = self.shards.get(shard) {
-                        s.pushes_enqueued.fetch_sub(1, Ordering::AcqRel);
-                    }
+                    shard.pushes_enqueued.fetch_sub(1, Ordering::AcqRel);
                 }
                 verdict
             }
@@ -585,7 +555,7 @@ impl SessionManager {
     /// (DESIGN.md §6.11). Used by the serve layer's own anomaly triggers,
     /// the wire front-end (malformed frames), and the obs plane.
     pub fn trigger_flight_dump(&self, reason: FlightReason) {
-        self.flight_ctl.trigger(reason);
+        self.shared.flight_ctl.trigger(reason);
     }
 
     /// [`Request::Open`] shorthand.
@@ -621,9 +591,10 @@ impl SessionManager {
     /// Installs an exported session snapshot under `id` (on this manager's
     /// shard for the id — the engine configurations must match, which the
     /// snapshot's config fingerprint enforces). Admission-controlled like
-    /// an open. Returns `false` when the id is already live, admission
-    /// sheds it, or the bytes fail to decode/restore. Blocks until the
-    /// owning shard processes the command.
+    /// an open. Returns `false` when the id is already live or suspended
+    /// in the snapshot store, admission sheds it, or the bytes fail to
+    /// decode/restore. Blocks until the owning shard processes the
+    /// command.
     pub fn import_session(&self, id: SessionId, bytes: Vec<u8>) -> bool {
         let (reply, rx) = mpsc::sync_channel(1);
         if self.enqueue(id, Cmd::Import { id: id.0, bytes, reply }) != SubmitVerdict::Enqueued {
@@ -632,68 +603,66 @@ impl SessionManager {
         rx.recv().unwrap_or(false)
     }
 
+    /// Sends a session's command to its shard; a full queue counts in `queue_full`.
     fn enqueue(&self, id: SessionId, cmd: Cmd) -> SubmitVerdict {
         let Some(shard) = self.shards.get(self.shard_of(id)) else {
             return SubmitVerdict::Shedding;
         };
+        let verdict = self.send(shard, cmd, false);
+        if matches!(verdict, SubmitVerdict::QueueFull { .. }) {
+            self.shared.metrics.queue_full.inc();
+            trace_session(Stage::Serve, "queue_full", TICK_UNSET, id.0);
+        }
+        verdict
+    }
+
+    /// Sends `cmd` to `shard`, counted in the shard's depth and the queue
+    /// gauge until the worker takes it. A full queue rejects the command
+    /// unless `block`, which only the quiesce barrier sets; a closed one
+    /// (shutdown, or a worker that has exited) always does.
+    fn send(&self, shard: &ShardHandle, cmd: Cmd, block: bool) -> SubmitVerdict {
         let Some(tx) = shard.tx.as_ref() else {
             return SubmitVerdict::Shedding;
         };
         // Count before sending so the worker can never observe a drain
         // below zero; undo on rejection.
-        shard.pending.inc();
         // ordering: AcqRel keeps the depth add/sub pairs totally ordered with
         // the worker's drain decrement, and the Acquire load below reports a
         // retry hint no older than this rejected send.
         shard.depth.fetch_add(1, Ordering::AcqRel);
-        self.metrics.queue_depth.inc();
-        match tx.try_send(cmd) {
-            Ok(()) => SubmitVerdict::Enqueued,
-            Err(err) => {
-                shard.pending.dec();
-                shard.depth.fetch_sub(1, Ordering::AcqRel);
-                self.metrics.queue_depth.dec();
-                match err {
-                    TrySendError::Full(_) => {
-                        self.metrics.queue_full.inc();
-                        if echowrite_trace::enabled() {
-                            echowrite_trace::instant(
-                                Stage::Serve,
-                                "queue_full",
-                                TICK_UNSET,
-                                SmallStr::from_display(id.0),
-                            );
-                        }
-                        SubmitVerdict::QueueFull {
-                            retry_after_chunks: shard.depth.load(Ordering::Acquire).max(1),
-                        }
-                    }
-                    TrySendError::Disconnected(_) => SubmitVerdict::Shedding,
-                }
-            }
+        self.shared.metrics.queue_depth.inc();
+        let sent = if block {
+            tx.send(cmd).map_err(|err| TrySendError::Disconnected(err.0))
+        } else {
+            tx.try_send(cmd)
+        };
+        let Err(err) = sent else {
+            return SubmitVerdict::Enqueued;
+        };
+        shard.depth.fetch_sub(1, Ordering::AcqRel);
+        self.shared.metrics.queue_depth.dec();
+        match err {
+            TrySendError::Full(_) => SubmitVerdict::QueueFull {
+                retry_after_chunks: shard.depth.load(Ordering::Acquire).max(1),
+            },
+            TrySendError::Disconnected(_) => SubmitVerdict::Shedding,
         }
     }
 
-    /// Enqueues an admin command on a specific shard, mirroring
-    /// [`SessionManager::enqueue`]'s depth/pending accounting. Returns
-    /// `false` when the queue is full or closed — admin scans skip a
-    /// saturated shard instead of blocking ingress behind it.
-    fn enqueue_on(&self, shard: &ShardHandle, cmd: Cmd) -> bool {
-        let Some(tx) = shard.tx.as_ref() else {
-            return false;
-        };
-        shard.pending.inc();
-        // ordering: AcqRel — the same pairing as `enqueue`, so the worker's
-        // drain decrement never observes a depth below zero.
-        shard.depth.fetch_add(1, Ordering::AcqRel);
-        self.metrics.queue_depth.inc();
-        if tx.try_send(cmd).is_ok() {
-            return true;
-        }
-        shard.pending.dec();
-        shard.depth.fetch_sub(1, Ordering::AcqRel);
-        self.metrics.queue_depth.dec();
-        false
+    /// Sends every shard the command `cmd` wraps around a reply channel
+    /// and collects the replies in shard order. A shard that refuses the
+    /// command (see [`SessionManager::send`]) or drops the reply unread —
+    /// its worker exited — is left out.
+    fn fan_out<T>(&self, block: bool, cmd: impl Fn(SyncSender<T>) -> Cmd) -> Vec<T> {
+        let replies: Vec<Receiver<T>> = self
+            .shards
+            .iter()
+            .filter_map(|shard| {
+                let (reply, rx) = mpsc::sync_channel(1);
+                (self.send(shard, cmd(reply), block) == SubmitVerdict::Enqueued).then_some(rx)
+            })
+            .collect();
+        replies.into_iter().filter_map(|rx| rx.recv().ok()).collect()
     }
 
     /// A point-in-time table of every session the manager knows: live
@@ -702,20 +671,9 @@ impl SessionManager {
     /// Best-effort: a shard whose queue is full at scan time is skipped
     /// rather than blocked on, so the admin plane never adds backpressure.
     pub fn introspect(&self) -> Vec<SessionInfo> {
-        let mut rxs = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (reply, rx) = mpsc::sync_channel(1);
-            if self.enqueue_on(shard, Cmd::Introspect { reply }) {
-                rxs.push(rx);
-            }
-        }
-        let mut out: Vec<SessionInfo> = Vec::new();
-        for rx in rxs {
-            if let Ok(rows) = rx.recv() {
-                out.extend(rows);
-            }
-        }
-        if let Some(store) = self.store.as_ref() {
+        let mut out: Vec<SessionInfo> =
+            self.fan_out(false, |reply| Cmd::Introspect { reply }).into_iter().flatten().collect();
+        if let Some(store) = self.shared.store.as_ref() {
             if let Ok(ids) = store.sessions() {
                 for id in ids {
                     out.push(SessionInfo {
@@ -739,29 +697,22 @@ impl SessionManager {
     /// one session, ordered by logical tick. The rings are always on, so
     /// this works with tracing disabled and needs no restart.
     pub fn flight_snapshot(&self, session: Option<u64>) -> Vec<FlightEntry> {
-        let mut rxs = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (reply, rx) = mpsc::sync_channel(1);
-            if self.enqueue_on(shard, Cmd::FlightDump { session, reply }) {
-                rxs.push(rx);
-            }
-        }
-        let mut out: Vec<FlightEntry> = Vec::new();
-        for rx in rxs {
-            if let Ok(entries) = rx.recv() {
-                out.extend(entries);
-            }
-        }
+        let mut out: Vec<FlightEntry> = self
+            .fan_out(false, |reply| Cmd::FlightDump { session, reply })
+            .into_iter()
+            .flatten()
+            .collect();
         out.sort_by_key(|e| e.event.tick_us);
         out
     }
 
-    /// Blocks until every enqueued command has been processed (a condvar
-    /// handshake — submissions arriving concurrently extend the wait).
+    /// Blocks until every command enqueued before the call has been
+    /// processed and its events are in the channel. Each shard gets a
+    /// barrier command through a blocking send and answers it in queue
+    /// order. A shard whose worker has exited can neither take nor answer
+    /// the barrier, so it is not waited on.
     pub fn quiesce(&self) {
-        for shard in &self.shards {
-            shard.pending.wait_zero();
-        }
+        self.fan_out(true, |reply| Cmd::Barrier { reply });
     }
 
     /// Drains every currently available output event into `out`, returning
@@ -792,47 +743,55 @@ impl SessionManager {
 
     /// The manager's metric registry.
     pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
+        &self.shared.metrics
     }
 
     /// A shared handle to the metric registry, for a thread that records
     /// into it but must not keep the manager itself alive.
     pub fn metrics_handle(&self) -> Arc<ServeMetrics> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.shared.metrics)
     }
 
     /// Sessions currently live across all shards.
     pub fn live_sessions(&self) -> usize {
-        self.admission.live()
+        self.shared.admission.live()
     }
 
     /// Whether the admission controller is currently shedding new opens.
     pub fn is_shedding(&self) -> bool {
-        self.admission.is_shedding()
+        self.shared.admission.is_shedding()
+    }
+
+    /// Shard workers that have exited while the manager is up. A worker
+    /// stops early only by panicking; its queue is then closed, so every
+    /// later command for its sessions is shed.
+    pub fn dead_shards(&self) -> usize {
+        self.shards.iter().filter(|s| s.join.as_ref().is_some_and(JoinHandle::is_finished)).count()
     }
 
     /// The configured backlog deadline, if any.
     pub fn deadline_chunks(&self) -> Option<u64> {
-        self.deadline_chunks
+        self.shared.config.deadline_chunks
     }
 
     /// The snapshot store this manager was built over (see
     /// [`SessionManager::with_snapshot_store`]), e.g. to enumerate
     /// suspended sessions. `None` for a storeless manager.
     pub fn snapshot_store(&self) -> Option<&Arc<dyn SnapshotStore>> {
-        self.store.as_ref()
+        self.shared.store.as_ref()
     }
 
     /// Drains the queues, stops every shard worker, and returns the final
     /// metrics snapshot together with every event still undrained in the
-    /// channel. Workers send a command's events *before* acknowledging it
-    /// to [`SessionManager::quiesce`], so after the quiesce every event of
-    /// every processed command is in the channel — draining here means a
-    /// caller that never polled [`SessionManager::try_events`] still loses
-    /// no `Segment`/`Finished` across shutdown.
+    /// channel. A worker sends a command's events before it takes the
+    /// next command, so once [`SessionManager::quiesce`]'s barrier is
+    /// answered every event of every earlier command is in the channel —
+    /// draining here means a caller that never polled
+    /// [`SessionManager::try_events`] still loses no `Segment`/`Finished`
+    /// across shutdown.
     pub fn shutdown(self) -> ShutdownReport {
         self.quiesce();
-        let metrics = Arc::clone(&self.metrics);
+        let metrics = Arc::clone(&self.shared.metrics);
         let rx = self.events.lock().unwrap_or_else(|e| e.into_inner()).take();
         // Dropping joins the workers, so events they emit while exiting
         // (none today, but the drain path reserves the right) and their
@@ -857,7 +816,7 @@ impl SessionManager {
     pub fn shutdown_to_store(self) -> ShutdownReport {
         // ordering: Release pairs with the worker's Acquire load on exit;
         // the quiesce/join inside shutdown() sequences everything else.
-        self.drain_on_exit.store(true, Ordering::Release);
+        self.shared.drain_on_exit.store(true, Ordering::Release);
         self.shutdown()
     }
 }
@@ -876,6 +835,67 @@ impl Drop for SessionManager {
     }
 }
 
+/// A trace instant naming session `id`, formatted only while tracing is on.
+fn trace_session(stage: Stage, name: &'static str, tick_us: u64, id: u64) {
+    if echowrite_trace::enabled() {
+        echowrite_trace::instant(stage, name, tick_us, SmallStr::from_display(id));
+    }
+}
+
+/// Every way a session moves into or out of a shard. [`Transition::row`]
+/// is the one table of what each one counts, records and traces, and
+/// [`Worker::book`] the one place that applies it; sessions come in
+/// through [`Worker::enter`] and go out through [`Worker::leave`].
+#[derive(Debug, Clone, Copy)]
+enum Transition {
+    /// An admitted `Open` for an id that is neither live nor suspended.
+    Open,
+    /// An `Open` for a live id: a client retrying an `Open` whose ack it
+    /// lost. The session is kept.
+    Reopen,
+    /// A suspended session thawed by its next `Open`/`Push`/`Finish`.
+    Resume,
+    /// A snapshot installed by [`SessionManager::import_session`].
+    Import,
+    /// An explicit `Finish`.
+    Finish,
+    /// The reaper dropped the session, or could not store it.
+    Reap,
+    /// The reaper or the shutdown drain stored the session.
+    Suspend,
+    /// [`SessionManager::export_session`] handed the session over.
+    Export,
+}
+
+/// What a transition writes into the flight ring: an entry carrying the
+/// command's request id, an entry with request id 0, or nothing.
+#[derive(Debug, Clone, Copy)]
+enum Flight {
+    Tagged,
+    Untagged,
+    Skip,
+}
+
+impl Transition {
+    /// The transition table. Per transition: the counter it bumps, its
+    /// flight-ring and trace label, its trace lane, whether it counts
+    /// toward the reap-churn flight trigger, and its flight entry.
+    fn row(self, m: &ServeMetrics) -> (&Counter, &'static str, Stage, bool, Flight) {
+        use Flight::{Skip, Tagged, Untagged};
+        use Stage::{Serve, Snapshot};
+        match self {
+            Self::Open => (&m.sessions_opened, "session_open", Serve, false, Tagged),
+            Self::Reopen => (&m.sessions_reopened, "session_reopen", Serve, false, Tagged),
+            Self::Resume => (&m.sessions_resumed, "session_resume", Snapshot, true, Untagged),
+            Self::Import => (&m.sessions_resumed, "session_import", Snapshot, false, Untagged),
+            Self::Finish => (&m.sessions_finished, "session_finish", Serve, false, Tagged),
+            Self::Reap => (&m.sessions_reaped, "session_reaped", Serve, true, Untagged),
+            Self::Suspend => (&m.sessions_suspended, "session_suspend", Snapshot, true, Untagged),
+            Self::Export => (&m.sessions_suspended, "session_export", Snapshot, false, Skip),
+        }
+    }
+}
+
 /// One live session owned by a shard.
 struct Slot {
     session: StreamingSession,
@@ -885,27 +905,14 @@ struct Slot {
     samples_in: u64,
 }
 
-/// A shard worker's whole state; `run` consumes it on its own thread.
+/// A shard worker: the shard's own state next to the two handles it
+/// shares; `run` consumes it on its own thread.
 struct Worker {
-    engine: Arc<EchoWrite>,
+    shared: Arc<Shared>,
+    queue: Arc<ShardQueue>,
     rx: Receiver<Cmd>,
-    events: Sender<ServeEvent>,
-    admission: Arc<AdmissionController>,
-    metrics: Arc<ServeMetrics>,
-    depth: Arc<AtomicUsize>,
-    pushes_enqueued: Arc<AtomicU64>,
-    pending: Arc<Pending>,
-    deadline_chunks: Option<u64>,
-    idle_timeout_samples: Option<u64>,
-    /// Commands drained from the queue per batch round (1 = no batching).
-    batch_max: usize,
-    /// Reaper disposition: drop reclaimed sessions or suspend them.
-    reap_policy: ReapPolicy,
-    /// Snapshot store for suspend/thaw/export; shared across shards.
-    store: Option<Arc<dyn SnapshotStore>>,
-    /// Set by [`SessionManager::shutdown_to_store`]: suspend every
-    /// remaining live session into the store when the queue closes.
-    drain_on_exit: Arc<AtomicBool>,
+    /// This worker's shard number, for artifact names and introspection.
+    shard_index: usize,
     /// Live sessions pinned to this shard (ordered map: deterministic
     /// iteration for the reaper).
     sessions: BTreeMap<u64, Slot>,
@@ -924,39 +931,28 @@ struct Worker {
     dsp_scratch: SharedDspScratch,
     /// Logical clock: total samples this shard has processed.
     clock_samples: u64,
+    /// Commands processed, quiesce barriers aside (the reaper's cadence).
     commands_done: u64,
-    /// This worker's shard number, for artifact names and introspection.
-    shard_index: usize,
     /// Always-on flight recorder: a bounded ring of recent events owned
     /// outright by this worker — recording is a plain array store, no
     /// atomics, no locks, independent of the global trace gate.
     flight: FlightRing,
-    /// Manager-side dump trigger (shed latch, malformed frames, manual).
-    flight_ctl: Arc<FlightControl>,
     /// Last trigger epoch this worker acted on.
     flight_seen: u64,
-    /// Where anomaly dumps go; `None` keeps the ring in-memory only.
-    flight_dir: Option<Arc<PathBuf>>,
     /// Per-worker dump ordinal, for unique artifact names.
     flight_artifacts: u64,
-    /// Reap/suspend/thaw events per scan window that count as churn
-    /// (0 disables the churn trigger).
-    churn_threshold: u64,
     /// Reap/suspend/thaw events since the last reaper scan.
     churn_window: u64,
     /// Previous push's degraded flag, so the deadline trigger fires on the
     /// rising edge instead of once per degraded push.
     was_degraded: bool,
-    /// Mirror of [`ShardHandle::seq_log`] for the unique-seq regression
-    /// test.
-    #[cfg(test)]
-    seq_log: Arc<Mutex<Vec<u64>>>,
 }
 
 impl Worker {
     /// Trace timestamp: the shard's logical sample clock, in audio-time µs.
     fn tick_us(&self) -> u64 {
-        echowrite_trace::samples_to_us(self.clock_samples, self.engine.config().stft.sample_rate)
+        let sample_rate = self.shared.engine.config().stft.sample_rate;
+        echowrite_trace::samples_to_us(self.clock_samples, sample_rate)
     }
 
     // echolint: entry
@@ -966,21 +962,22 @@ impl Worker {
         // strictly in queue order with per-command accounting, so batching
         // changes cache behaviour (one shared DSP scratch pass over N
         // sessions' pushes) but never the output or the quiesce contract.
-        let mut batch: Vec<Cmd> = Vec::with_capacity(self.batch_max);
+        let batch_max = self.shared.config.batch_max;
+        let mut batch: Vec<Cmd> = Vec::with_capacity(batch_max);
         while let Ok(first) = self.rx.recv() {
             batch.push(first);
-            while batch.len() < self.batch_max {
+            while batch.len() < batch_max {
                 match self.rx.try_recv() {
                     Ok(cmd) => batch.push(cmd),
                     Err(_) => break,
                 }
             }
-            self.metrics.batch_drains.inc();
+            self.shared.metrics.batch_drains.inc();
             for cmd in batch.drain(..) {
                 // ordering: AcqRel pairs with the manager's enqueue increment, so the
                 // observed depth never dips below zero mid-handoff.
-                self.depth.fetch_sub(1, Ordering::AcqRel);
-                self.metrics.queue_depth.dec();
+                self.queue.depth.fetch_sub(1, Ordering::AcqRel);
+                self.shared.metrics.queue_depth.dec();
                 match cmd {
                     Cmd::Open { id, req } => self.handle_open(id, req),
                     Cmd::Push { id, chunk, seq, req, timer } => {
@@ -993,12 +990,18 @@ impl Worker {
                     Cmd::FlightDump { session, reply } => {
                         self.handle_flight_dump(session, &reply);
                     }
+                    // Every command ahead of the barrier has run. The
+                    // barrier does not count toward the reaper's cadence,
+                    // so quiescing never changes when the reaper runs.
+                    Cmd::Barrier { reply } => {
+                        let _ = reply.send(());
+                        continue;
+                    }
                 }
                 self.commands_done += 1;
                 if self.commands_done.is_multiple_of(REAP_SCAN_EVERY) {
                     self.reap_idle();
                 }
-                self.pending.dec();
             }
             self.check_flight();
         }
@@ -1006,10 +1009,10 @@ impl Worker {
         // so suspend every remaining live session into the store — a fresh
         // manager over the same store thaws them on their next command.
         // ordering: Acquire pairs with shutdown_to_store's Release store.
-        if self.drain_on_exit.load(Ordering::Acquire) && self.store.is_some() {
+        if self.shared.drain_on_exit.load(Ordering::Acquire) && self.shared.store.is_some() {
             let ids: Vec<u64> = self.sessions.keys().copied().collect();
             for id in ids {
-                self.suspend_session(id);
+                self.evict(id, true);
             }
         }
         // Final postmortem: shutdown always leaves a flight artifact when
@@ -1043,7 +1046,7 @@ impl Worker {
 
     /// Polls the manager-side trigger; dumps when the epoch moved.
     fn check_flight(&mut self) {
-        let (epoch, reason) = self.flight_ctl.read();
+        let (epoch, reason) = self.shared.flight_ctl.read();
         if epoch != self.flight_seen {
             self.flight_seen = epoch;
             self.dump_flight(reason);
@@ -1058,10 +1061,10 @@ impl Worker {
     /// ring still serves live snapshots through
     /// [`SessionManager::flight_snapshot`]).
     fn dump_flight(&mut self, reason: FlightReason) {
-        let Some(dir) = self.flight_dir.as_ref() else {
+        let Some(dir) = self.shared.config.flight.artifact_dir.as_ref() else {
             return;
         };
-        let uptime_ms = (self.metrics.uptime_seconds() * 1_000.0) as u64;
+        let uptime_ms = (self.shared.metrics.uptime_seconds() * 1_000.0) as u64;
         let name = format!(
             "flight-{uptime_ms}ms-{}-shard{}-{}.json",
             reason.as_str(),
@@ -1070,18 +1073,16 @@ impl Worker {
         );
         self.flight_artifacts += 1;
         let json = flight_to_chrome_json(&self.flight.snapshot());
-        if std::fs::create_dir_all(dir.as_ref()).is_ok()
-            && std::fs::write(dir.join(name), json).is_ok()
-        {
-            self.metrics.flight_dumps.inc();
+        if std::fs::create_dir_all(dir).is_ok() && std::fs::write(dir.join(name), json).is_ok() {
+            self.shared.metrics.flight_dumps.inc();
         }
     }
 
     /// [`Cmd::Introspect`]: the live-session table as this shard sees it.
     fn handle_introspect(&self, reply: &SyncSender<Vec<SessionInfo>>) {
         // ordering: Relaxed — a monitoring snapshot; nothing branches on it.
-        let backlog = self.depth.load(Ordering::Relaxed);
-        let sample_rate = self.engine.config().stft.sample_rate;
+        let backlog = self.queue.depth.load(Ordering::Relaxed);
+        let sample_rate = self.shared.engine.config().stft.sample_rate;
         let rows = self
             .sessions
             .iter()
@@ -1106,6 +1107,36 @@ impl Worker {
         let _ = reply.send(entries);
     }
 
+    /// Books a transition as its [`Transition::row`] says: the counter,
+    /// the churn window, the flight entry and the trace instant.
+    fn book(&mut self, how: Transition, id: u64, req: u64) {
+        let (counter, label, stage, churn, flight) = how.row(&self.shared.metrics);
+        counter.inc();
+        self.churn_window += u64::from(churn);
+        match flight {
+            Flight::Tagged => self.record_flight(id, req, label, EventKind::Instant, 0, 0.0),
+            Flight::Untagged => self.record_flight(id, 0, label, EventKind::Instant, 0, 0.0),
+            Flight::Skip => {}
+        }
+        trace_session(stage, label, self.tick_us(), id);
+    }
+
+    /// Installs `session` as `id`'s live slot and books how it came in.
+    /// Its admission slot was reserved before: by `submit`, thaw or
+    /// import.
+    fn enter(&mut self, how: Transition, id: u64, req: u64, session: StreamingSession) {
+        self.sessions.insert(id, Slot { session, last_active: self.clock_samples, samples_in: 0 });
+        self.book(how, id, req);
+    }
+
+    /// Pools a session that has left the shard, hands its admission slot
+    /// back and books how it left.
+    fn leave(&mut self, how: Transition, id: u64, req: u64, session: StreamingSession) {
+        self.pool.push(session);
+        self.shared.release();
+        self.book(how, id, req);
+    }
+
     /// Tries to resurrect a suspended session from the snapshot store.
     ///
     /// `admit` is true on the `Push`/`Finish` path, where no admission slot
@@ -1117,215 +1148,134 @@ impl Worker {
     /// counted in `thaw_failures`, the id is remembered as unrestorable so
     /// later commands do not retry it, and the caller falls through to its
     /// unknown-id behaviour.
-    fn thaw(&mut self, id: u64, admit: bool) -> bool {
-        let Some(store) = self.store.as_ref() else {
-            return false;
-        };
+    fn thaw(&mut self, id: u64, req: u64, admit: bool) -> bool {
         if self.unrestorable.contains(&id) {
             return false;
         }
-        let Ok(Some(bytes)) = store.remove(id) else {
+        let Some(bytes) = self.take_stored(id) else {
             return false;
         };
-        if admit && !self.admission.try_admit() {
+        if admit && !self.shared.admit() {
             // Shed exactly like an over-water open; park the bytes back so
             // the session can still thaw once the population drains.
             self.park(id, bytes);
-            self.metrics.sessions_shed.inc();
             return false;
         }
-        let mut session = self.pooled_session();
-        match restore_in_place(&mut session, &bytes, &self.engine) {
-            Ok(()) => {
-                self.sessions.insert(
-                    id,
-                    Slot { session, last_active: self.clock_samples, samples_in: 0 },
-                );
-                if admit {
-                    self.metrics.sessions_live.inc();
-                }
-                self.metrics.sessions_resumed.inc();
-                self.churn_window += 1;
-                self.record_flight(id, 0, "session_resume", EventKind::Instant, 0, 0.0);
-                if echowrite_trace::enabled() {
-                    echowrite_trace::instant(
-                        Stage::Snapshot,
-                        "session_resume",
-                        self.tick_us(),
-                        SmallStr::from_display(id),
-                    );
-                }
-                true
-            }
-            Err(_) => {
-                // After a failed restore the session is unspecified: reset
-                // before returning it to the pool.
-                session.reset(&self.engine);
-                self.pool.push(session);
-                if admit {
-                    self.admission.release();
-                }
-                self.metrics.thaw_failures.inc();
-                self.unrestorable.insert(id);
-                self.park(id, bytes);
-                false
-            }
+        if self.restore(Transition::Resume, id, req, &bytes) {
+            return true;
         }
+        if admit {
+            self.shared.release();
+        }
+        self.shared.metrics.thaw_failures.inc();
+        self.unrestorable.insert(id);
+        self.park(id, bytes);
+        false
     }
 
-    /// A fresh session: a reset one from the pool, or a new one.
+    /// Restores `bytes` into a pooled session and enters it as `id`;
+    /// returns whether the restore succeeded. A session that did not
+    /// restore goes back to the pool.
+    fn restore(&mut self, how: Transition, id: u64, req: u64, bytes: &[u8]) -> bool {
+        let mut session = self.pooled_session();
+        if restore_in_place(&mut session, bytes, &self.shared.engine).is_err() {
+            self.pool.push(session);
+            return false;
+        }
+        self.enter(how, id, req, session);
+        true
+    }
+
+    /// A fresh session: a pooled one reset here — the only reset a pooled
+    /// session gets — or a new one.
     fn pooled_session(&mut self) -> StreamingSession {
         match self.pool.pop() {
             Some(mut s) => {
-                s.reset(&self.engine);
+                s.reset(&self.shared.engine);
                 s
             }
-            None => StreamingSession::new(&self.engine),
+            None => StreamingSession::new(&self.shared.engine),
         }
+    }
+
+    /// Takes `id`'s snapshot out of the store. A failed read counts in
+    /// `thaw_failures` and reads as no snapshot; the id is not marked
+    /// unrestorable, since a read error says nothing about the bytes.
+    fn take_stored(&self, id: u64) -> Option<Vec<u8>> {
+        let taken = self.shared.store.as_ref()?.remove(id);
+        if taken.is_err() {
+            self.shared.metrics.thaw_failures.inc();
+        }
+        taken.ok().flatten()
     }
 
     /// Puts snapshot bytes the thaw path took out of the store back under
     /// their id. A failed write loses them; that is counted in
     /// `thaw_failures` rather than dropped silently.
     fn park(&self, id: u64, bytes: Vec<u8>) {
-        if self.store.as_ref().is_none_or(|store| store.put(id, bytes).is_err()) {
-            self.metrics.thaw_failures.inc();
+        if self.shared.store.as_ref().is_none_or(|store| store.put(id, bytes).is_err()) {
+            self.shared.metrics.thaw_failures.inc();
         }
     }
 
-    /// Suspends one live session into the snapshot store (reaper eviction
-    /// and the shutdown drain). Falls back to a plain reap when the store
-    /// write fails — the session is then gone, exactly as under
-    /// [`ReapPolicy::Drop`], and the `Reaped` event says so.
-    fn suspend_session(&mut self, id: u64) {
-        let Some(mut slot) = self.sessions.remove(&id) else {
+    /// Takes an idle session out of the shard (the reaper, and the
+    /// shutdown drain). With `suspend` its snapshot goes into the store;
+    /// without, or when the store write fails, the session is gone,
+    /// exactly as under [`ReapPolicy::Drop`], and the `Reaped` event says
+    /// so.
+    fn evict(&mut self, id: u64, suspend: bool) {
+        let Some(slot) = self.sessions.remove(&id) else {
             return;
         };
-        let Some(store) = self.store.as_ref() else {
-            // No store: behave as a plain reap (callers gate on the store,
-            // so this is a defensive arm, not a reachable policy).
-            self.pool.push(slot.session);
-            let _ = self.events.send(ServeEvent::Reaped { session: SessionId(id) });
-            self.admission.release();
-            self.metrics.sessions_reaped.inc();
-            self.metrics.sessions_live.dec();
-            self.churn_window += 1;
-            return;
-        };
-        let bytes = snapshot_session(&slot.session, &self.engine);
-        let stored = store.put(id, bytes).is_ok();
-        self.unrestorable.remove(&id);
-        slot.session.reset(&self.engine);
-        self.pool.push(slot.session);
-        self.admission.release();
-        self.metrics.sessions_live.dec();
-        self.churn_window += 1;
-        self.record_flight(
-            id,
-            0,
-            if stored { "session_suspend" } else { "session_reaped" },
-            EventKind::Instant,
-            0,
-            0.0,
-        );
-        if stored {
-            self.metrics.sessions_suspended.inc();
-            if echowrite_trace::enabled() {
-                echowrite_trace::instant(
-                    Stage::Snapshot,
-                    "session_suspend",
-                    self.tick_us(),
-                    SmallStr::from_display(id),
-                );
-            }
-        } else {
-            let _ = self.events.send(ServeEvent::Reaped { session: SessionId(id) });
-            self.metrics.sessions_reaped.inc();
-            if echowrite_trace::enabled() {
-                echowrite_trace::instant(
-                    Stage::Serve,
-                    "session_reaped",
-                    self.tick_us(),
-                    SmallStr::from_display(id),
-                );
+        if suspend {
+            let bytes = snapshot_session(&slot.session, &self.shared.engine);
+            self.unrestorable.remove(&id);
+            if self.shared.store.as_ref().is_some_and(|store| store.put(id, bytes).is_ok()) {
+                self.leave(Transition::Suspend, id, 0, slot.session);
+                return;
             }
         }
+        let _ = self.shared.events.send(ServeEvent::Reaped { session: SessionId(id) });
+        self.leave(Transition::Reap, id, 0, slot.session);
     }
 
     /// [`Cmd::Export`]: hand the session's snapshot to the caller and
     /// forget it — live sessions are serialized and released, suspended
     /// ones are pulled straight out of the store.
     fn handle_export(&mut self, id: u64, reply: &SyncSender<Option<Vec<u8>>>) {
-        let out = if let Some(mut slot) = self.sessions.remove(&id) {
-            let bytes = snapshot_session(&slot.session, &self.engine);
-            slot.session.reset(&self.engine);
-            self.pool.push(slot.session);
-            self.admission.release();
-            self.metrics.sessions_live.dec();
-            self.metrics.sessions_suspended.inc();
-            if echowrite_trace::enabled() {
-                echowrite_trace::instant(
-                    Stage::Snapshot,
-                    "session_export",
-                    self.tick_us(),
-                    SmallStr::from_display(id),
-                );
-            }
+        let out = if let Some(slot) = self.sessions.remove(&id) {
+            let bytes = snapshot_session(&slot.session, &self.shared.engine);
+            self.leave(Transition::Export, id, 0, slot.session);
             Some(bytes)
-        } else if let Some(bytes) =
-            self.store.as_ref().and_then(|s| s.remove(id).ok().flatten())
-        {
+        } else if let Some(bytes) = self.take_stored(id) {
             // Already suspended: its live-count bookkeeping happened at
             // suspend time, so the bytes just change owners.
             self.unrestorable.remove(&id);
             Some(bytes)
         } else {
-            self.metrics.orphan_commands.inc();
+            self.shared.metrics.orphan_commands.inc();
             None
         };
         let _ = reply.send(out);
     }
 
     /// [`Cmd::Import`]: install an exported snapshot as a live session,
-    /// admission-controlled like an open.
+    /// admission-controlled like an open. An id that is live, or that the
+    /// store holds suspended (or cannot say it does not), is a collision
+    /// and is refused: importing over a stored snapshot would leave that
+    /// stale snapshot to thaw on the id's next `Open`.
     fn handle_import(&mut self, id: u64, bytes: &[u8], reply: &SyncSender<bool>) {
-        if self.sessions.contains_key(&id) {
+        let stored = (self.shared.store.as_ref())
+            .is_some_and(|store| !matches!(store.contains(id), Ok(false)));
+        if self.sessions.contains_key(&id) || stored || !self.shared.admit() {
             let _ = reply.send(false);
             return;
         }
-        if !self.admission.try_admit() {
-            self.metrics.sessions_shed.inc();
-            let _ = reply.send(false);
-            return;
+        let imported = self.restore(Transition::Import, id, 0, bytes);
+        if !imported {
+            self.shared.release();
         }
-        let mut session = self.pooled_session();
-        let ok = match restore_in_place(&mut session, bytes, &self.engine) {
-            Ok(()) => {
-                self.sessions.insert(
-                    id,
-                    Slot { session, last_active: self.clock_samples, samples_in: 0 },
-                );
-                self.metrics.sessions_live.inc();
-                self.metrics.sessions_resumed.inc();
-                self.record_flight(id, 0, "session_import", EventKind::Instant, 0, 0.0);
-                if echowrite_trace::enabled() {
-                    echowrite_trace::instant(
-                        Stage::Snapshot,
-                        "session_import",
-                        self.tick_us(),
-                        SmallStr::from_display(id),
-                    );
-                }
-                true
-            }
-            Err(_) => {
-                session.reset(&self.engine);
-                self.pool.push(session);
-                self.admission.release();
-                false
-            }
-        };
-        let _ = reply.send(ok);
+        let _ = reply.send(imported);
     }
 
     fn handle_open(&mut self, id: u64, req: u64) {
@@ -1336,65 +1286,40 @@ impl Worker {
             // idle clock, keep every buffer, and return the duplicate
             // admission slot reserved by submit().
             slot.last_active = self.clock_samples;
-            self.admission.release();
-            self.metrics.sessions_live.dec();
-            self.metrics.sessions_reopened.inc();
-            self.record_flight(id, req, "session_reopen", EventKind::Instant, 0, 0.0);
-            if echowrite_trace::enabled() {
-                echowrite_trace::instant(
-                    Stage::Serve,
-                    "session_reopen",
-                    self.tick_us(),
-                    SmallStr::from_display(id),
-                );
-            }
+            self.shared.release();
+            self.book(Transition::Reopen, id, req);
             return;
         }
         // A suspended session thaws on re-open instead of starting over;
         // submit() already reserved this open's admission slot.
-        if self.thaw(id, false) {
-            return;
-        }
-        let session = self.pooled_session();
-        self.sessions
-            .insert(id, Slot { session, last_active: self.clock_samples, samples_in: 0 });
-        self.metrics.sessions_opened.inc();
-        self.record_flight(id, req, "session_open", EventKind::Instant, 0, 0.0);
-        if echowrite_trace::enabled() {
-            echowrite_trace::instant(
-                Stage::Serve,
-                "session_open",
-                self.tick_us(),
-                SmallStr::from_display(id),
-            );
+        if !self.thaw(id, req, false) {
+            let session = self.pooled_session();
+            self.enter(Transition::Open, id, req, session);
         }
     }
 
     fn handle_push(&mut self, id: u64, chunk: &[f64], seq: u64, req: u64, timer: Stopwatch) {
         #[cfg(test)]
-        self.seq_log.lock().unwrap_or_else(|e| e.into_inner()).push(seq);
+        self.queue.seq_log.lock().unwrap_or_else(|e| e.into_inner()).push(seq);
         // A push racing the reaper: under SuspendToStore the session was
         // parked, not destroyed — thaw it and the push lands as if the
         // reap never happened.
-        if !self.sessions.contains_key(&id) && !self.thaw(id, true) {
-            self.metrics.orphan_commands.inc();
+        if !self.sessions.contains_key(&id) && !self.thaw(id, req, true) {
+            self.shared.metrics.orphan_commands.inc();
             return;
         }
         let Some(slot) = self.sessions.get_mut(&id) else {
-            self.metrics.orphan_commands.inc();
             return;
         };
         // Backlog lag: pushes enqueued to this shard after this one was.
         // ordering: Acquire pairs with the manager's AcqRel enqueue counter,
         // so lag counts every push enqueued before this command was sent.
-        let lag = self
-            .pushes_enqueued
-            .load(Ordering::Acquire)
-            .saturating_sub(seq.saturating_add(1));
-        let degraded = self.deadline_chunks.is_some_and(|d| lag > d);
+        let enqueued = self.queue.pushes_enqueued.load(Ordering::Acquire);
+        let lag = enqueued.saturating_sub(seq.saturating_add(1));
+        let degraded = self.shared.config.deadline_chunks.is_some_and(|d| lag > d);
         self.scratch.clear();
         slot.session.push_events_shared(
-            &self.engine,
+            &self.shared.engine,
             chunk,
             !degraded,
             &mut self.dsp_scratch,
@@ -1403,17 +1328,18 @@ impl Worker {
         self.clock_samples += chunk.len() as u64;
         slot.last_active = self.clock_samples;
         slot.samples_in += chunk.len() as u64;
-        self.metrics.pushes.inc();
+        self.shared.metrics.pushes.inc();
         if degraded {
-            self.metrics.pushes_degraded.inc();
+            self.shared.metrics.pushes_degraded.inc();
         }
-        self.metrics.events.add(self.scratch.len() as u64);
+        self.shared.metrics.events.add(self.scratch.len() as u64);
         let emitted = self.scratch.len();
         for segment in self.scratch.drain(..) {
-            let _ = self.events.send(ServeEvent::Segment { session: SessionId(id), segment });
+            let _ =
+                self.shared.events.send(ServeEvent::Segment { session: SessionId(id), segment });
         }
         let wall_us = (timer.elapsed_ms() * 1_000.0) as u64;
-        self.metrics.push_latency_us.observe(wall_us);
+        self.shared.metrics.push_latency_us.observe(wall_us);
         let span_name = if degraded { "push_degraded" } else { "push" };
         self.record_flight(id, req, span_name, EventKind::Span, wall_us, emitted as f64);
         if degraded && !self.was_degraded {
@@ -1446,40 +1372,28 @@ impl Worker {
     fn handle_finish(&mut self, id: u64, req: u64) {
         // Like the push path: a finish for a suspended session thaws it
         // first so the tail segments flush instead of being orphaned.
-        if !self.sessions.contains_key(&id) && !self.thaw(id, true) {
-            self.metrics.orphan_commands.inc();
+        if !self.sessions.contains_key(&id) && !self.thaw(id, req, true) {
+            self.shared.metrics.orphan_commands.inc();
             return;
         }
         let Some(mut slot) = self.sessions.remove(&id) else {
-            self.metrics.orphan_commands.inc();
             return;
         };
         self.scratch.clear();
-        slot.session.finish_events(&self.engine, true, &mut self.scratch);
-        self.metrics.events.add(self.scratch.len() as u64);
+        slot.session.finish_events(&self.shared.engine, true, &mut self.scratch);
+        self.shared.metrics.events.add(self.scratch.len() as u64);
         for segment in self.scratch.drain(..) {
-            let _ = self.events.send(ServeEvent::Segment { session: SessionId(id), segment });
+            let _ =
+                self.shared.events.send(ServeEvent::Segment { session: SessionId(id), segment });
         }
-        let _ = self.events.send(ServeEvent::Finished { session: SessionId(id) });
-        self.pool.push(slot.session);
-        self.admission.release();
-        self.metrics.sessions_finished.inc();
-        self.metrics.sessions_live.dec();
-        self.record_flight(id, req, "session_finish", EventKind::Instant, 0, 0.0);
-        if echowrite_trace::enabled() {
-            echowrite_trace::instant(
-                Stage::Serve,
-                "session_finish",
-                self.tick_us(),
-                SmallStr::from_display(id),
-            );
-        }
+        let _ = self.shared.events.send(ServeEvent::Finished { session: SessionId(id) });
+        self.leave(Transition::Finish, id, req, slot.session);
     }
 
     /// Reclaims sessions whose last command is older than the idle
     /// timeout on this shard's sample clock.
     fn reap_idle(&mut self) {
-        let Some(timeout) = self.idle_timeout_samples else {
+        let Some(timeout) = self.shared.config.idle_timeout_samples else {
             return;
         };
         let clock = self.clock_samples;
@@ -1489,31 +1403,12 @@ impl Worker {
             .filter(|(_, slot)| clock.saturating_sub(slot.last_active) > timeout)
             .map(|(&id, _)| id)
             .collect();
-        let suspend = self.reap_policy == ReapPolicy::SuspendToStore && self.store.is_some();
+        let suspend = self.shared.config.reap_policy == ReapPolicy::SuspendToStore;
         for id in stale {
-            if suspend {
-                self.suspend_session(id);
-                continue;
-            }
-            if let Some(slot) = self.sessions.remove(&id) {
-                self.pool.push(slot.session);
-                let _ = self.events.send(ServeEvent::Reaped { session: SessionId(id) });
-                self.admission.release();
-                self.metrics.sessions_reaped.inc();
-                self.metrics.sessions_live.dec();
-                self.churn_window += 1;
-                self.record_flight(id, 0, "session_reaped", EventKind::Instant, 0, 0.0);
-                if echowrite_trace::enabled() {
-                    echowrite_trace::instant(
-                        Stage::Serve,
-                        "session_reaped",
-                        self.tick_us(),
-                        SmallStr::from_display(id),
-                    );
-                }
-            }
+            self.evict(id, suspend);
         }
-        if self.churn_threshold > 0 && self.churn_window >= self.churn_threshold {
+        let churn_threshold = self.shared.config.flight.churn_threshold;
+        if churn_threshold > 0 && self.churn_window >= churn_threshold {
             // Reap/thaw churn: sessions are thrashing in and out of the
             // store faster than the threshold allows — dump the context.
             self.dump_flight(FlightReason::ReapChurn);
@@ -2015,6 +1910,30 @@ mod tests {
         assert_eq!(dst.live_sessions(), 0);
     }
 
+    /// Import refuses an id the store holds suspended, as it refuses a live
+    /// one: accepted, it would leave the stale snapshot to thaw on the id's
+    /// next `Open` once the imported session finished.
+    #[test]
+    fn import_refuses_an_id_suspended_in_the_store() {
+        let store = Arc::new(MemoryStore::new());
+        let cfg = ServeConfig { shards: Parallelism::Threads(1), ..ServeConfig::default() };
+        let m = SessionManager::with_snapshot_store(snap_engine(), cfg, store.clone())
+            .expect("valid config");
+        let id = SessionId(12);
+        let _ = m.open(id);
+        assert_eq!(m.push(id, &[0.0; 4096]), SubmitVerdict::Enqueued);
+        let bytes = m.export_session(id).expect("live session exports");
+        store.put(id.0, bytes.clone()).expect("memory put");
+        assert!(!m.import_session(id, bytes), "import over a suspended id refused");
+        assert_eq!(m.live_sessions(), 0, "a refused import holds no admission slot");
+        let _ = m.finish(id);
+        let _ = m.open(id);
+        m.quiesce();
+        let snap = m.metrics().snapshot();
+        assert_eq!(snap.sessions_resumed, 1, "the finish thaws the suspended session");
+        assert_eq!(snap.sessions_opened, 2, "the next open starts a fresh session");
+    }
+
     /// Tentpole: `shutdown_to_store` drains live sessions into the store;
     /// a fresh manager over the same store thaws them on the next push and
     /// the client finishes its word bitwise.
@@ -2115,6 +2034,77 @@ mod tests {
         m.quiesce();
         assert_eq!(tally(&store.removes), 3, "an emptied id is looked up again");
         assert_eq!(m.metrics().thaw_failures.get(), 1);
+    }
+
+    /// A store whose reads fail: `remove` returns an I/O error, or panics
+    /// when `panics` is set.
+    #[derive(Debug)]
+    struct BrokenStore {
+        panics: bool,
+    }
+
+    impl SnapshotStore for BrokenStore {
+        fn put(&self, _: u64, _: Vec<u8>) -> Result<(), echowrite_snapshot::StoreError> {
+            Ok(())
+        }
+
+        fn remove(&self, _: u64) -> Result<Option<Vec<u8>>, echowrite_snapshot::StoreError> {
+            assert!(!self.panics, "store read panicked");
+            Err(echowrite_snapshot::StoreError::Io(std::io::Error::other("disk gone")))
+        }
+
+        fn contains(&self, _: u64) -> Result<bool, echowrite_snapshot::StoreError> {
+            Ok(false)
+        }
+
+        fn sessions(&self) -> Result<Vec<u64>, echowrite_snapshot::StoreError> {
+            Ok(Vec::new())
+        }
+    }
+
+    /// A failed store read counts in `thaw_failures` on every command
+    /// that tried one, and the id is not marked unrestorable: each later
+    /// command reads again.
+    #[test]
+    fn failed_store_reads_count_as_thaw_failures() {
+        let cfg = ServeConfig { shards: Parallelism::Threads(1), ..ServeConfig::default() };
+        let store = Arc::new(BrokenStore { panics: false });
+        let m =
+            SessionManager::with_snapshot_store(snap_engine(), cfg, store).expect("valid config");
+        let id = SessionId(5);
+        for _ in 0..3 {
+            assert_eq!(m.push(id, &[0.0; 1024]), SubmitVerdict::Enqueued);
+        }
+        m.quiesce();
+        assert_eq!(m.metrics().thaw_failures.get(), 3, "each failed read is counted");
+        assert_eq!(m.metrics().orphan_commands.get(), 3);
+        assert_eq!(m.export_session(id), None);
+        assert_eq!(m.metrics().thaw_failures.get(), 4, "export's failed read is counted");
+    }
+
+    /// A shard whose worker has died does not hang `quiesce`: the barrier
+    /// cannot be sent or is never answered, and `quiesce` returns. The
+    /// dead shard's commands are shed.
+    #[test]
+    fn quiesce_returns_when_a_shard_worker_has_died() {
+        let cfg = ServeConfig { shards: Parallelism::Threads(1), ..ServeConfig::default() };
+        let store = Arc::new(BrokenStore { panics: true });
+        let m = Arc::new(
+            SessionManager::with_snapshot_store(snap_engine(), cfg, store).expect("valid config"),
+        );
+        // No session is live, so the push reads the store, which panics.
+        assert_eq!(m.push(SessionId(3), &[0.0; 1024]), SubmitVerdict::Enqueued);
+        let (done, returned) = mpsc::channel();
+        let manager = Arc::clone(&m);
+        let waiter = std::thread::spawn(move || {
+            manager.quiesce();
+            let _ = done.send(());
+        });
+        returned
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("quiesce must return when a shard worker has died");
+        waiter.join().expect("the quiesce thread does not panic");
+        assert_eq!(m.push(SessionId(3), &[0.0; 1024]), SubmitVerdict::Shedding);
     }
 
     /// `SuspendToStore` without a store is a construction error, not a

@@ -123,9 +123,10 @@ serve_metrics! {
     counter sessions_resumed "echowrite_serve_sessions_resumed_total"
         "Sessions resumed from the snapshot store.";
     // A snapshot that would not restore under this engine goes back into
-    // the store; a store write on the thaw path that fails loses it.
+    // the store; a store write on the thaw path that fails loses it; a
+    // store read that fails (thaw or export) reads as no snapshot.
     counter thaw_failures "echowrite_serve_thaw_failures_total"
-        "Thaws that failed: snapshots that would not restore, or store writes that failed.";
+        "Thaws that failed: snapshots that would not restore, or failed store reads or writes.";
     // A retrying client re-sending an `Open` whose ack it lost.
     counter sessions_reopened "echowrite_serve_sessions_reopened_total"
         "Idempotent re-opens of an already-live session id.";
