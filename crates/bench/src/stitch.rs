@@ -7,7 +7,7 @@
 //! the client under `pid` 0, the server under `pid` 1. Stitching is
 //! therefore a pure string-level splice of the two `traceEvents` arrays
 //! plus a set intersection on the ids: no JSON parser dependency, which
-//! keeps the helper usable from the dependency-free bench binaries.
+//! keeps the helper usable from the dependency-free benchmark and tests.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;

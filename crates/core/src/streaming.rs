@@ -4,7 +4,7 @@
 //! processing flowchart" (Sec. IV-A).
 //!
 //! Two implementations live behind [`StreamingRecognizer`], selected by
-//! [`StreamingMode`]:
+//! [`StreamingMode`](crate::StreamingMode):
 //!
 //! - **Incremental** (the default for causal configurations such as
 //!   [`EchoWriteConfig::streaming`](crate::EchoWriteConfig::streaming)):

@@ -8,7 +8,7 @@
 //!
 //! The network wants its input in bit-reversed order. [`Fft::forward`]
 //! takes natural-order data and permutes it with a swap pass; the STFT
-//! front-ends instead hand [`Fft::forward_from`] the samples they are
+//! front-ends instead hand `Fft::forward_from` the samples they are
 //! computing anyway (a windowed frame), which writes each one straight to
 //! its bit-reversed slot, so the permutation costs no pass of its own.
 

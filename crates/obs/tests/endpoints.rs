@@ -9,6 +9,7 @@ use echowrite_serve::{ReapPolicy, Request, ServeConfig, SessionId, SessionManage
 use echowrite_snapshot::{MemoryStore, SnapshotStore, StoreError};
 use echowrite_wire::{FrameDecoder, Response, WireClient, WireServer};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -47,6 +48,54 @@ fn status_code(status_line: &str) -> u16 {
     status_line.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status code")
 }
 
+/// The Prometheus text-exposition contract on a live `/metrics` body:
+/// every sample's family is announced by `# HELP` and then `# TYPE`, every
+/// histogram carries its `+Inf` bucket, `_sum` and `_count`, and the
+/// families below are present.
+fn assert_exposition(text: &str) {
+    let mut helped = BTreeSet::new();
+    let mut typed = BTreeSet::new();
+    let mut histograms = BTreeSet::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            helped.insert(rest.split(' ').next().unwrap_or_default());
+        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let mut parts = rest.split(' ');
+            let name = parts.next().unwrap_or_default();
+            assert!(helped.contains(name), "`# TYPE {name}` without a preceding `# HELP`");
+            if parts.next() == Some("histogram") {
+                histograms.insert(name);
+            }
+            typed.insert(name);
+        } else if !line.is_empty() {
+            let raw = line.split([' ', '{']).next().unwrap_or_default();
+            let family = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| raw.strip_suffix(suffix))
+                .filter(|f| histograms.contains(f))
+                .unwrap_or(raw);
+            assert!(typed.contains(family), "sample `{raw}` has no `# TYPE` announcement");
+        }
+    }
+    for h in &histograms {
+        for part in ["_bucket{le=\"+Inf\"}", "_sum", "_count"] {
+            assert!(text.contains(&format!("{h}{part}")), "histogram {h} lacks {part}");
+        }
+    }
+    for required in [
+        "echowrite_serve_pushes_total",
+        "echowrite_serve_obs_requests_total",
+        "echowrite_serve_obs_malformed_requests_total",
+        "echowrite_serve_flight_dumps_total",
+        "echowrite_serve_push_latency_us",
+        "echowrite_serve_push_latency_p50_us",
+        "echowrite_serve_push_latency_p95_us",
+        "echowrite_serve_push_latency_p99_us",
+    ] {
+        assert!(typed.contains(required), "required family {required} missing:\n{text}");
+    }
+}
+
 #[test]
 fn serves_metrics_health_sessions_and_flight() {
     let m = manager(one_shard());
@@ -75,9 +124,11 @@ fn serves_metrics_health_sessions_and_flight() {
         body.contains("echowrite_serve_obs_requests_total"),
         "admin plane must count itself: {body}"
     );
+    assert_exposition(&body);
 
     let (status, body) = get(addr, "/sessions");
     assert_eq!(status_code(&status), 200);
+    assert!(body.starts_with('[') && body.ends_with(']'), "a JSON array: {body}");
     assert!(body.contains("\"session\":7"), "live session listed: {body}");
     assert!(body.contains("\"samples_in\":2048"), "ingest counter: {body}");
     assert!(body.contains("\"suspended\":false"));
@@ -100,6 +151,7 @@ fn serves_metrics_health_sessions_and_flight() {
     assert_eq!(status_code(&status), 404);
     let (status, _) = post(addr, "/nope");
     assert_eq!(status_code(&status), 405);
+    assert_eq!(m.metrics().obs_malformed_requests.get(), 0, "every request was well-formed");
 
     obs.shutdown();
 }

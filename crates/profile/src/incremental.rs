@@ -13,7 +13,7 @@
 //!   replicated edge values and the `n < 5` all-zeros rule are resolved at
 //!   finish.
 //! - [`StreamingSegmenter`] — a resumable interpreter of
-//!   [`Segmenter::segment`]'s scan loop. It consumes shift/acceleration
+//!   [`Segmenter::segment`](crate::Segmenter::segment)'s scan loop. It consumes shift/acceleration
 //!   frames one at a time, decides arm/end checks as soon as their windows
 //!   are decidable for *every* possible session length, suspends otherwise,
 //!   and on [`StreamingSegmenter::finish`] replays the batch loop verbatim

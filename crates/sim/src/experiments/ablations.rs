@@ -51,21 +51,28 @@ fn engine_accuracy(
 /// Front-end ablation result: `(label, accuracy, mean pipeline ms)`.
 pub fn frontend_ablation(scale: Scale) -> Vec<(String, f64, f64)> {
     let env = EnvironmentProfile::meeting_room();
-    let mut out = Vec::new();
-    let full = shared_engine();
-    let (acc, _) = engine_accuracy(full, &env, scale);
-    out.push(("full STFT".to_string(), acc, mean_pipeline_ms(full, scale)));
-    for factor in [8usize, 16, 32] {
-        let engine = EchoWrite::with_config(EchoWriteConfig::downsampled(factor));
-        let (acc, _) = engine_accuracy(&engine, &env, scale);
-        out.push((format!("decimated ÷{factor}"), acc, mean_pipeline_ms(&engine, scale)));
-    }
-    out
+    let decimated: Vec<(usize, EchoWrite)> = [8usize, 16, 32]
+        .into_iter()
+        .map(|factor| (factor, EchoWrite::with_config(EchoWriteConfig::downsampled(factor))))
+        .collect();
+    let mut engines = vec![("full STFT".to_string(), shared_engine())];
+    engines.extend(decimated.iter().map(|(factor, e)| (format!("decimated ÷{factor}"), e)));
+    let costs = pipeline_ms(&engines, scale);
+    engines
+        .into_iter()
+        .zip(costs)
+        .map(|((label, engine), ms)| (label, engine_accuracy(engine, &env, scale).0, ms))
+        .collect()
 }
 
-/// Mean *pipeline-only* time (excludes synthesis) on a fixed stroke trace,
-/// min-of-runs to reject scheduler noise.
-fn mean_pipeline_ms(engine: &EchoWrite, scale: Scale) -> f64 {
+/// Timing runs per engine in [`pipeline_ms`].
+const TIMING_RUNS: usize = 5;
+
+/// *Pipeline-only* time (excludes synthesis) of each engine on a fixed
+/// stroke trace, min-of-runs to reject scheduler noise. The engines take
+/// turns run by run, so a burst of host load slows every front-end's
+/// runs alike instead of whichever engine happened to be timed during it.
+fn pipeline_ms(engines: &[(String, &EchoWrite)], scale: Scale) -> Vec<f64> {
     let perf = echowrite_gesture::Writer::new(WriterParams::nominal(), scale.seed)
         .write_stroke(Stroke::S3);
     let mic = Scene::new(
@@ -74,12 +81,13 @@ fn mean_pipeline_ms(engine: &EchoWrite, scale: Scale) -> f64 {
         scale.seed,
     )
     .render(&perf.trajectory);
-    (0..3)
-        .map(|_| {
-            let rec = engine.recognize_strokes(&mic);
-            rec.timing.total_ms()
-        })
-        .fold(f64::INFINITY, f64::min)
+    let mut best = vec![f64::INFINITY; engines.len()];
+    for _ in 0..TIMING_RUNS {
+        for (ms, (_, engine)) in best.iter_mut().zip(engines) {
+            *ms = ms.min(engine.recognize_strokes(&mic).timing.total_ms());
+        }
+    }
+    best
 }
 
 /// Fig. A1 — accuracy and cost per front-end.

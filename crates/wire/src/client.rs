@@ -1,8 +1,8 @@
-//! A blocking TCP client for the wire protocol — used by tests, the demo,
-//! and the `wire_fleet` bench harness.
+//! A blocking TCP client for the wire protocol — used by the loopback,
+//! admin-plane and stitched-trace tests and by the demo.
 //!
 //! The client is deliberately thin: one socket, one [`FrameDecoder`], no
-//! threads. Callers choose their own concurrency (the fleet harness
+//! threads. Callers choose their own concurrency (the loopback fleet test
 //! multiplexes many sessions over one client per connection).
 
 use crate::frame::{encode_request, FrameDecoder, FrameError, Request, Response};
@@ -85,8 +85,8 @@ impl WireClient {
 
     /// Overrides the next auto-assigned correlation id. Ids are client
     /// chosen and only echoed by the server, so callers multiplexing many
-    /// connections (e.g. the fleet harness) can carve out disjoint ranges
-    /// per connection to keep ids globally unique across a run.
+    /// connections can carve out disjoint ranges per connection to keep
+    /// ids globally unique across a run.
     pub fn set_next_request_id(&mut self, id: u64) {
         self.next_request_id = id;
     }

@@ -19,7 +19,7 @@
 //!   order and shedding backpressure through bounded per-connection
 //!   write queues.
 //! - [`client`] — [`client::WireClient`]: the blocking client used by
-//!   tests, the loopback demo, and the `wire_fleet` bench harness.
+//!   the loopback, admin-plane and stitched-trace tests and by the demo.
 //!
 //! The crate is part of the echolint pipeline scope: no panic paths, no
 //! wall-clock reads outside the quarantined `Stopwatch`, deterministic

@@ -1,20 +1,46 @@
 //! Loopback round-trips through a real [`WireServer`]: wire transcripts
-//! must be bitwise identical to isolated in-process recognizers, the
-//! idempotent re-open contract must hold across a lost-ack retry, shedding
-//! verdicts must propagate to the socket, and malformed bytes must close
-//! the connection and count.
+//! must be bitwise identical to isolated in-process recognizers — across
+//! many connections and shards, and across a reaper suspend plus a thaw —
+//! the idempotent re-open contract must hold across a lost-ack retry,
+//! shedding verdicts must propagate to the socket, and malformed bytes
+//! must close the connection and count.
 
 use echowrite::{EchoWrite, EchoWriteConfig, Parallelism, StreamingRecognizer};
 use echowrite_gesture::{Stroke, Writer, WriterParams};
-use echowrite_serve::{ServeConfig, SessionManager};
+use echowrite_serve::{ReapPolicy, ServeConfig, SessionManager};
+use echowrite_snapshot::{MemoryStore, SnapshotStore};
 use echowrite_synth::{DeviceProfile, EnvironmentProfile, Scene};
 use echowrite_wire::{Request, Response, WireClient, WireServer};
+use std::collections::BTreeMap;
 use std::io::{Read, Write as _};
-use std::sync::OnceLock;
+use std::net::SocketAddr;
+use std::sync::{mpsc, Arc, Barrier, OnceLock};
+use std::time::Duration;
 
 /// The Android app's 5-frame push size at the 32× downsampled rate is
 /// still 5 * 1024 input samples per push.
 const CHUNK: usize = 5 * 1024;
+
+/// The fleet tests' shape: sessions spread over connections, each
+/// connection multiplexing its share, against [`serve_config`]'s shards.
+const FLEET_SESSIONS: usize = 64;
+const FLEET_CONNS: usize = 8;
+
+/// How long a fleet's clients may take before the test fails. A session
+/// whose `Finished` never arrives would block `WireClient::next_event`
+/// forever; the watchdog turns that hang into a failure.
+const WATCHDOG: Duration = Duration::from_secs(60);
+
+/// Idle threshold for the suspend test, on the shard's logical sample
+/// clock. Large enough that round-robin resume traffic (≈ sessions/shard
+/// × CHUNK samples between a session's consecutive pushes) never re-reaps
+/// a session mid-resume, small against the pump phase's aging traffic.
+const SUSPEND_IDLE_TIMEOUT: u64 = 1_000_000;
+
+/// Silence chunks each pump session of the suspend test pushes: per shard
+/// this is far more than `SUSPEND_IDLE_TIMEOUT / CHUNK` commands and clock
+/// samples even if the id hash distributes pump sessions unevenly.
+const PUMP_PUSHES: usize = 80;
 
 /// A transcript row, scores compared bitwise.
 type Row = (u64, u64, Stroke, [f64; 6]);
@@ -52,6 +78,11 @@ fn sessions() -> &'static Vec<(Vec<f64>, Vec<Row>)> {
     })
 }
 
+/// The audio and oracle transcript a fleet session id plays.
+fn session(id: u64) -> &'static (Vec<f64>, Vec<Row>) {
+    &sessions()[id as usize % sessions().len()]
+}
+
 /// The in-process oracle: one isolated streaming recognizer over the
 /// whole audio in CHUNK pushes.
 fn oracle_rows(audio: &[f64]) -> Vec<Row> {
@@ -79,13 +110,7 @@ fn oracle_rows(audio: &[f64]) -> Vec<Row> {
 }
 
 fn serve_config() -> ServeConfig {
-    ServeConfig {
-        shards: Parallelism::Threads(2),
-        queue_capacity: 256,
-        deadline_chunks: None,
-        idle_timeout_samples: None,
-        ..ServeConfig::default()
-    }
+    ServeConfig { shards: Parallelism::Threads(4), ..ServeConfig::default() }
 }
 
 fn start_server() -> WireServer {
@@ -94,12 +119,15 @@ fn start_server() -> WireServer {
     WireServer::bind("127.0.0.1:0", manager).expect("loopback bind")
 }
 
+/// Sends `req` until it is enqueued, backing off 2 ms per `QueueFull` so
+/// a loaded host's shards drain before the retry budget runs out.
 fn must_enqueue(client: &mut WireClient, req: &Request) {
     for _ in 0..1000 {
         match client.request(req).expect("verdict") {
             Response::Enqueued { .. } => return,
             Response::QueueFull { retry_after_chunks, .. } => {
                 assert!(retry_after_chunks >= 1);
+                std::thread::sleep(Duration::from_millis(2));
             }
             other => panic!("unexpected verdict {other:?}"),
         }
@@ -107,69 +135,206 @@ fn must_enqueue(client: &mut WireClient, req: &Request) {
     panic!("queue never drained");
 }
 
-/// Drives `sessions` ids over one client connection, round-robin by
-/// chunk, and returns per-session transcripts built from wire events.
-fn run_over_wire(client: &mut WireClient, ids: &[u64]) -> Vec<Vec<Row>> {
-    for (&id, _) in ids.iter().zip(sessions()) {
-        must_enqueue(client, &Request::Open { session: id });
+/// Runs `clients` on a thread of its own and fails the test if it has not
+/// returned within [`WATCHDOG`]; a panic inside it fails the test as is.
+fn under_watchdog<T: Send + 'static>(clients: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, returned) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = done.send(clients());
+    });
+    match returned.recv_timeout(WATCHDOG) {
+        Ok(out) => {
+            runner.join().expect("the client runner returned");
+            out
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("fleet clients did not finish within {WATCHDOG:?}")
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => match runner.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the runner sends before it returns"),
+        },
     }
-    let mut cursors = vec![0usize; ids.len()];
-    let mut done = vec![false; ids.len()];
-    while done.iter().any(|d| !d) {
-        for (k, &id) in ids.iter().enumerate() {
-            if done[k] {
-                continue;
+}
+
+/// Drives [`FLEET_CONNS`] connections to `addr` at once, connection `c`
+/// owning the session ids `k < FLEET_SESSIONS` with `k % FLEET_CONNS == c`,
+/// and returns every session's wire transcript.
+fn run_fleet<F>(addr: SocketAddr, connection: F) -> BTreeMap<u64, Vec<Row>>
+where
+    F: Fn(&mut WireClient, &[u64]) -> BTreeMap<u64, Vec<Row>> + Sync,
+{
+    std::thread::scope(|scope| {
+        let connection = &connection;
+        let handles: Vec<_> = (0..FLEET_CONNS)
+            .map(|c| {
+                let ids: Vec<u64> =
+                    (c..FLEET_SESSIONS).step_by(FLEET_CONNS).map(|k| k as u64).collect();
+                scope.spawn(move || {
+                    let mut client = WireClient::connect(addr).expect("loopback connect");
+                    connection(&mut client, &ids)
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("connection thread")).collect()
+    })
+}
+
+/// Pushes `ids` round-robin, one CHUNK per turn, from each id's cursor up
+/// to `end(id)`; with `finish`, sends each id's `Finish` once it is there.
+fn drive(
+    client: &mut WireClient,
+    cursors: &mut BTreeMap<u64, usize>,
+    ids: &[u64],
+    end: impl Fn(u64) -> usize,
+    finish: bool,
+) {
+    let mut live = ids.to_vec();
+    while !live.is_empty() {
+        live.retain(|&id| {
+            let pos = cursors[&id];
+            let to = (pos + CHUNK).min(end(id));
+            if pos < to {
+                let samples = session(id).0[pos..to].to_vec();
+                must_enqueue(client, &Request::Push { session: id, samples });
+                cursors.insert(id, to);
             }
-            let audio = &sessions()[k].0;
-            let pos = cursors[k];
-            let end = (pos + CHUNK).min(audio.len());
-            must_enqueue(
-                client,
-                &Request::Push { session: id, samples: audio[pos..end].to_vec() },
-            );
-            cursors[k] = end;
-            if end == audio.len() {
-                must_enqueue(client, &Request::Finish { session: id });
-                done[k] = true;
-            }
+            to < end(id)
+        });
+    }
+    if finish {
+        for &id in ids {
+            must_enqueue(client, &Request::Finish { session: id });
         }
     }
+}
 
-    let mut transcripts: Vec<Vec<Row>> = vec![Vec::new(); ids.len()];
-    let mut finished = 0usize;
-    while finished < ids.len() {
+/// Reads events until `finished` sessions have finished, returning the
+/// segment rows of `ids` (other sessions' rows are dropped).
+fn drain(client: &mut WireClient, ids: &[u64], finished: usize) -> BTreeMap<u64, Vec<Row>> {
+    let mut transcripts: BTreeMap<u64, Vec<Row>> =
+        ids.iter().map(|&id| (id, Vec::new())).collect();
+    let mut seen = 0usize;
+    while seen < finished {
         match client.next_event().expect("event stream") {
             Response::Segment { session, start_frame, end_frame, classification } => {
-                let k = ids.iter().position(|&id| id == session).expect("known session");
                 let cls = classification.expect("no degradation configured");
-                transcripts[k].push((start_frame, end_frame, cls.stroke, cls.scores));
+                if let Some(rows) = transcripts.get_mut(&session) {
+                    rows.push((start_frame, end_frame, cls.stroke, cls.scores));
+                }
             }
-            Response::Finished { .. } => finished += 1,
+            Response::Finished { .. } => seen += 1,
             other => panic!("unexpected event {other:?}"),
         }
     }
     transcripts
 }
 
-/// Four sessions multiplexed over one connection: every wire transcript
-/// must equal the isolated in-process recognizer bitwise.
+/// Asserts every fleet session's wire transcript equals its oracle.
+fn assert_fleet_transcripts(transcripts: &BTreeMap<u64, Vec<Row>>) {
+    assert_eq!(transcripts.len(), FLEET_SESSIONS, "a transcript per session");
+    for (&id, got) in transcripts {
+        assert_eq!(got, &session(id).1, "session {id}: wire transcript diverged");
+    }
+}
+
+/// Sixty-four sessions over eight connections and four shards, each
+/// connection multiplexing its share round-robin by chunk: every wire
+/// transcript must equal the isolated in-process recognizer bitwise.
 #[test]
 fn wire_transcripts_match_in_process_recognizers() {
     let server = start_server();
     let addr = server.local_addr();
-    let mut client = WireClient::connect(addr).expect("loopback connect");
-    let ids: Vec<u64> = vec![900, 901, 902, 903];
-    let transcripts = run_over_wire(&mut client, &ids);
-    for (k, got) in transcripts.iter().enumerate() {
-        assert_eq!(got, &sessions()[k].1, "session {k}: wire transcript diverged");
-    }
-    drop(client);
+    let transcripts = under_watchdog(move || {
+        run_fleet(addr, |client, ids| {
+            let mut cursors = ids.iter().map(|&id| (id, 0)).collect();
+            for &id in ids {
+                must_enqueue(client, &Request::Open { session: id });
+            }
+            drive(client, &mut cursors, ids, |id| session(id).0.len(), true);
+            drain(client, ids, ids.len())
+        })
+    });
+    assert_fleet_transcripts(&transcripts);
     let report = server.shutdown();
-    assert_eq!(report.metrics.sessions_finished, 4);
-    assert!(report.metrics.wire_connections >= 1);
+    assert_eq!(report.metrics.sessions_finished, FLEET_SESSIONS as u64);
+    assert!(report.metrics.wire_connections >= FLEET_CONNS as u64);
     assert!(report.metrics.wire_frames_read > 0);
     assert!(report.metrics.wire_frames_written > 0);
     assert_eq!(report.metrics.wire_malformed_frames, 0);
+}
+
+/// The reaper's suspend path over the wire. Every odd session pauses
+/// mid-word while the even half finishes; pump traffic then ages the
+/// shards' clocks past the idle threshold so the reaper suspends the odd
+/// half into the store, and a bare late `Push` — no re-`Open`, no replay —
+/// thaws each one. The two barriers order the phases across connections:
+/// all idle sessions quiet before any pumping, all pumping done before any
+/// resume. Transcripts must still equal the oracle bitwise.
+#[test]
+fn reaper_suspends_idle_sessions_and_a_late_push_thaws_them_bitwise() {
+    let store = Arc::new(MemoryStore::new());
+    let manager = SessionManager::with_snapshot_store(
+        engine().clone(),
+        ServeConfig {
+            idle_timeout_samples: Some(SUSPEND_IDLE_TIMEOUT),
+            reap_policy: ReapPolicy::SuspendToStore,
+            ..serve_config()
+        },
+        store.clone(),
+    )
+    .expect("valid serve config");
+    let server = WireServer::bind("127.0.0.1:0", manager).expect("loopback bind");
+    let addr = server.local_addr();
+    let barrier = Arc::new(Barrier::new(FLEET_CONNS));
+    let transcripts = under_watchdog(move || {
+        run_fleet(addr, |client, ids| {
+            // One throwaway pump session per fleet session, spread across
+            // shards by the same id hash: pushing silence while the idle
+            // half waits, they advance every shard's logical clock past
+            // the idle threshold so the reaper provably visits the idle half.
+            let pumps: Vec<u64> = ids.iter().map(|id| id + FLEET_SESSIONS as u64).collect();
+            for &id in ids.iter().chain(&pumps) {
+                must_enqueue(client, &Request::Open { session: id });
+            }
+            let (idle, busy): (Vec<u64>, Vec<u64>) = ids.iter().partition(|&&id| id % 2 == 1);
+            let full = |id: u64| session(id).0.len();
+            // The last whole-chunk boundary before the midpoint: mid-word,
+            // and mid-stroke for most of the base audios.
+            let pause = |id: u64| full(id) / 2 / CHUNK * CHUNK;
+            let mut cursors = ids.iter().map(|&id| (id, 0)).collect();
+            drive(client, &mut cursors, ids, pause, false);
+            drive(client, &mut cursors, &busy, full, true);
+            barrier.wait();
+
+            let silence = vec![0.0f64; CHUNK];
+            for _ in 0..PUMP_PUSHES {
+                for &id in &pumps {
+                    let samples = silence.clone();
+                    must_enqueue(client, &Request::Push { session: id, samples });
+                }
+            }
+            for &id in &pumps {
+                must_enqueue(client, &Request::Finish { session: id });
+            }
+            barrier.wait();
+
+            drive(client, &mut cursors, &idle, full, true);
+            drain(client, ids, ids.len() + pumps.len())
+        })
+    });
+    assert_fleet_transcripts(&transcripts);
+    let m = server.shutdown().metrics;
+    let idle_half = FLEET_SESSIONS as u64 / 2;
+    assert!(
+        m.sessions_suspended >= idle_half && m.sessions_resumed >= idle_half,
+        "every idle session must be suspended and thawed: {} suspended, {} resumed, of {}",
+        m.sessions_suspended,
+        m.sessions_resumed,
+        idle_half
+    );
+    assert_eq!(m.orphan_commands, 0);
+    assert_eq!(store.sessions().expect("memory store list"), Vec::<u64>::new());
 }
 
 /// The lost-ack retry over the wire: a client that re-sends `Open` after
