@@ -336,7 +336,7 @@ mod tests {
     #[test]
     fn propagates_subconfig_errors() {
         let mut c = EchoWriteConfig::paper();
-        c.enhance.median_size = 2;
+        c.enhance.gaussian_size = 2;
         assert!(c.validate().is_err());
         let mut c = EchoWriteConfig::paper();
         c.segment.beta_hz_per_s = -5.0;

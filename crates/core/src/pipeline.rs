@@ -226,8 +226,8 @@ impl Pipeline {
         });
         timing.stft_ms = t0.elapsed_ms();
         debug_assert!(
-            spec.data().iter().all(|v| v.is_finite()),
-            "STFT stage produced a non-finite magnitude"
+            spec.data().iter().all(|v| v.is_finite() && v.is_sign_positive()),
+            "STFT stage produced a magnitude that is not finite and non-negative"
         );
 
         let t1 = Stopwatch::start();

@@ -8,51 +8,24 @@
 use crate::spectrogram::Spectrogram;
 use echowrite_dsp::filters::gaussian_kernel;
 
-/// Applies a `size`×`size` median filter (edges replicate).
+/// Applies the paper's 3×3 median filter (edges replicate).
 ///
-/// Interior pixels gather their window by direct row-slice copies and the
-/// median is found with a partial selection instead of a full sort; the
-/// output is element-for-element identical to the straightforward
-/// gather-and-sort definition.
-///
-/// # Panics
-///
-/// Panics if `size` is even or zero.
-pub fn median_filter_2d(src: &Spectrogram, size: usize) -> Spectrogram {
-    assert!(size % 2 == 1 && size > 0, "median size must be odd, got {size}");
-    let half = size / 2;
+/// Each output row is one call of the dispatched
+/// [`median3x3`](echowrite_dsp::kernels::median3x3) kernel over the input
+/// rows `r−1`, `r`, `r+1` (clamped), bitwise equal to gathering every
+/// clamped window and selecting its median under `total_cmp` on inputs
+/// with no NaN and no `−0.0` (magnitudes are `+0.0` or greater).
+pub fn median_filter_2d(src: &Spectrogram) -> Spectrogram {
     let (rows, cols) = (src.rows(), src.cols());
     let mut out = src.clone();
     if cols == 0 {
         return out;
     }
     let data = src.data();
-    let mut window = vec![0.0f64; size * size];
-    let mid = (size * size) / 2;
-    for r in 0..rows {
-        for c in 0..cols {
-            if r >= half && r + half < rows && c >= half && c + half < cols {
-                // Interior: the window is `size` contiguous row slices.
-                for dr in 0..size {
-                    let base = (r - half + dr) * cols + (c - half);
-                    window[dr * size..(dr + 1) * size]
-                        .copy_from_slice(&data[base..base + size]);
-                }
-            } else {
-                // Border: replicate edges via clamping.
-                let mut n = 0;
-                for dr in -(half as isize)..=half as isize {
-                    let rr = (r as isize + dr).clamp(0, rows as isize - 1) as usize;
-                    for dc in -(half as isize)..=half as isize {
-                        let cc = (c as isize + dc).clamp(0, cols as isize - 1) as usize;
-                        window[n] = data[rr * cols + cc];
-                        n += 1;
-                    }
-                }
-            }
-            let (_, m, _) = window.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
-            out.set(r, c, *m);
-        }
+    let row = |r: usize| &data[r * cols..(r + 1) * cols];
+    for (r, dst) in out.data_mut().chunks_exact_mut(cols).enumerate() {
+        let lines = [row(r.saturating_sub(1)), row(r), row((r + 1).min(rows - 1))];
+        echowrite_dsp::kernels::median3x3(dst, lines);
     }
     out
 }
@@ -286,6 +259,8 @@ pub fn fill_holes_in_place(s: &mut Spectrogram) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use echowrite_dsp::kernels::median3x3_ref;
+    use proptest::prelude::*;
 
     fn from_rows(rows: &[&[f64]]) -> Spectrogram {
         // Convert row-major literals into the column-based constructor.
@@ -308,7 +283,7 @@ mod tests {
             &[0.0, 9.0, 0.0],
             &[0.0, 0.0, 0.0],
         ]);
-        let f = median_filter_2d(&s, 3);
+        let f = median_filter_2d(&s);
         assert_eq!(f.get(1, 1), 0.0);
     }
 
@@ -319,15 +294,49 @@ mod tests {
             &[5.0, 5.0, 5.0, 0.0],
             &[5.0, 5.0, 5.0, 0.0],
         ]);
-        let f = median_filter_2d(&s, 3);
+        let f = median_filter_2d(&s);
         assert_eq!(f.get(1, 1), 5.0);
         assert_eq!(f.get(0, 0), 5.0); // replicate edges keep the block
     }
 
-    #[test]
-    #[should_panic(expected = "odd")]
-    fn median_rejects_even_size() {
-        median_filter_2d(&Spectrogram::zeros(2, 2), 2);
+    proptest! {
+        // A few cases suffice under Miri, which interprets every pixel.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+        /// Every pixel of `median_filter_2d` against its own clamped 3×3
+        /// window, gathered as three 3-long lines whose middle output
+        /// `median3x3_ref` selects: a wrong clamp at either end of either
+        /// axis shows, which comparing two callers of the kernel cannot.
+        /// Spread magnitudes and a tie-heavy pool with `+0.0`; a random
+        /// shape, plus 1×n, n×1 and 2×2.
+        #[test]
+        fn median_matches_per_pixel_reference(
+            rows in 1usize..24, cols in 1usize..24, n in 1usize..24,
+            spread in prop::collection::vec(0.0f64..100.0, 576),
+            picks in prop::collection::vec(0usize..4, 576),
+        ) {
+            let tied: Vec<f64> = picks.iter().map(|&k| [0.0, 1.0, 2.5, 7.0][k]).collect();
+            for (rows, cols) in [(rows, cols), (1, n), (n, 1), (2, 2)] {
+                for cells in [&spread, &tied] {
+                    let mut s = Spectrogram::zeros(rows, cols);
+                    s.data_mut().copy_from_slice(&cells[..rows * cols]);
+                    let got = median_filter_2d(&s);
+                    let at = |i: usize, d: isize, len: usize| {
+                        (i as isize + d).clamp(0, len as isize - 1) as usize
+                    };
+                    for r in 0..rows {
+                        for c in 0..cols {
+                            let window = [-1, 0, 1]
+                                .map(|dr| [-1, 0, 1].map(|dc| s.get(at(r, dr, rows), at(c, dc, cols))));
+                            let mut m = [0.0; 3];
+                            median3x3_ref(&mut m, window.each_ref().map(|l| &l[..]));
+                            let (want, pixel) = (m[1].to_bits(), got.get(r, c).to_bits());
+                            prop_assert_eq!(pixel, want, "{}×{} at ({}, {})", rows, cols, r, c);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
