@@ -3,6 +3,10 @@
 //! Measures the steady-state per-push latency of the incremental streaming
 //! path twice in the same process — tracing disabled vs the recording sink
 //! — and **fails (exit 1) when the recording sink costs more than 5%**.
+//! Each round times both modes back to back and yields one paired ratio
+//! (recording over disabled); the gate decides on the median ratio over
+//! all rounds, so drift slower than a round cancels within each pair and
+//! a few disturbed rounds cannot move the verdict.
 //! In-process A/B is the only comparison that is meaningful across CI
 //! runner generations; the committed `BENCH_streaming.json` baseline is
 //! reported alongside for context and enforced only when
@@ -28,9 +32,9 @@ const SESSION_SECONDS: usize = 12;
 const CHUNK: usize = 5 * 1024;
 /// Pushes measured per round (steady state, cycling the session audio).
 const PUSHES_PER_ROUND: usize = 120;
-/// Alternating disabled/recording rounds; the per-mode minimum defeats
-/// transient CI noise (thermal ramps, neighbor VMs).
-const ROUNDS: usize = 5;
+/// Paired rounds (odd, so the median is one round's ratio). Which mode
+/// runs first alternates by round, so neither gains from going second.
+const ROUNDS: usize = 101;
 /// The budget: recording-sink pushes may cost at most 5% over disabled.
 const MAX_RATIO: f64 = 1.05;
 
@@ -113,23 +117,32 @@ fn main() {
     // Warm-up: fault in templates, FFT plans, and the page cache.
     let _ = round_mean_ns(&engine, &audio, ScopedMode::Disabled);
 
-    let mut disabled_min = f64::INFINITY;
+    let disabled = || round_mean_ns(&engine, &audio, ScopedMode::Disabled);
+    let recording = || round_mean_ns(&engine, &audio, ScopedMode::Recording(1 << 16));
+    let mut ratios = Vec::with_capacity(ROUNDS);
     let mut recording_min = f64::INFINITY;
     for round in 0..ROUNDS {
-        let d = round_mean_ns(&engine, &audio, ScopedMode::Disabled);
-        let r = round_mean_ns(&engine, &audio, ScopedMode::Recording(1 << 16));
-        if d < disabled_min {
-            disabled_min = d;
-        }
-        if r < recording_min {
-            recording_min = r;
-        }
-        println!("round {round}: disabled {d:.0} ns/push, recording {r:.0} ns/push");
+        let (d, r) = if round % 2 == 0 {
+            let d = disabled();
+            (d, recording())
+        } else {
+            let r = recording();
+            (disabled(), r)
+        };
+        recording_min = recording_min.min(r);
+        ratios.push(r / d);
+        println!(
+            "round {round}: disabled {d:.0} ns/push, recording {r:.0} ns/push (ratio {:.3})",
+            r / d
+        );
     }
-    let ratio = recording_min / disabled_min;
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[ROUNDS / 2];
     println!(
-        "per-push minimum: disabled {disabled_min:.0} ns, recording {recording_min:.0} ns \
-         (ratio {ratio:.3}, budget {MAX_RATIO})"
+        "median paired ratio {ratio:.3} over {ROUNDS} rounds (quartiles {:.3} / {:.3}, \
+         budget {MAX_RATIO})",
+        ratios[ROUNDS / 4],
+        ratios[3 * ROUNDS / 4]
     );
 
     // Context: the committed cross-machine baseline. Informational unless

@@ -32,7 +32,7 @@ use echowrite_trace::{
     flight_to_chrome_json, EventKind, FlightEntry, FlightRing, SmallStr, Stage, TraceEvent,
     TICK_UNSET,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -288,6 +288,17 @@ struct ShardQueue {
     seq_log: Mutex<Vec<u64>>,
 }
 
+impl ShardQueue {
+    /// Takes one command off `depth` and the queue gauge: a send the queue
+    /// refused, a command the worker took, or one a panicking worker drops.
+    fn untrack(&self, metrics: &ServeMetrics) {
+        // ordering: AcqRel keeps every add/sub pair on `depth` totally
+        // ordered, so the observed depth never dips below zero mid-handoff.
+        self.depth.fetch_sub(1, Ordering::AcqRel);
+        metrics.queue_depth.dec();
+    }
+}
+
 /// Manager-side handle to one shard; derefs to the [`ShardQueue`] it
 /// shares with the shard's worker.
 #[derive(Debug)]
@@ -440,6 +451,8 @@ impl SessionManager {
                     shared: Arc::clone(&shared),
                     queue: Arc::clone(&queue),
                     rx,
+                    batch: VecDeque::with_capacity(shared.config.batch_max),
+                    opening: None,
                     shard_index,
                     sessions: BTreeMap::new(),
                     unrestorable: BTreeSet::new(),
@@ -503,37 +516,39 @@ impl SessionManager {
                 }
                 verdict
             }
-            Request::Push(id, chunk) => {
-                let Some(shard) = self.shards.get(self.shard_of(id)) else {
-                    return SubmitVerdict::Shedding;
-                };
-                // Reserve the seq *before* the send (mirroring the `depth`
-                // accounting in `send`): a load-then-increment here would
-                // let two concurrent submitters observe the same counter
-                // value and stamp duplicate seqs, skewing the backlog `lag`
-                // the deadline policy degrades on.
-                // ordering: AcqRel — the reservation is both the publish
-                // (a later submitter's reservation sees it) and the acquire
-                // edge the worker's lag load pairs with.
-                let seq = shard.pushes_enqueued.fetch_add(1, Ordering::AcqRel);
-                let cmd = Cmd::Push {
-                    id: id.0,
-                    chunk: chunk.to_vec(),
-                    seq,
-                    req: request_id,
-                    timer: Stopwatch::start(),
-                };
-                let verdict = self.enqueue(id, cmd);
-                if verdict != SubmitVerdict::Enqueued {
-                    // The reservation was never enqueued; return it so the
-                    // backlog clock does not drift on rejected submissions.
-                    // ordering: AcqRel — pairs with the reservation above.
-                    shard.pushes_enqueued.fetch_sub(1, Ordering::AcqRel);
-                }
-                verdict
-            }
+            // The one copy of a borrowed chunk.
+            Request::Push(id, chunk) => self.submit_push(id, chunk.to_vec(), request_id),
             Request::Finish(id) => self.enqueue(id, Cmd::Finish { id: id.0, req: request_id }),
         }
+    }
+
+    /// Submits a push whose chunk the caller owns, tagged like
+    /// [`SessionManager::submit_tagged`]: the buffer moves into the shard
+    /// queue as it is, so a caller that decoded it (the wire reader) pays
+    /// no second copy. Never blocks; a rejected chunk is dropped.
+    // echolint: entry
+    pub fn submit_push(&self, id: SessionId, chunk: Vec<f64>, request_id: u64) -> SubmitVerdict {
+        let Some(shard) = self.shards.get(self.shard_of(id)) else {
+            return SubmitVerdict::Shedding;
+        };
+        // Reserve the seq *before* the send (mirroring the `depth`
+        // accounting in `send`): a load-then-increment here would let two
+        // concurrent submitters observe the same counter value and stamp
+        // duplicate seqs, skewing the backlog `lag` the deadline policy
+        // degrades on.
+        // ordering: AcqRel — the reservation is both the publish (a later
+        // submitter's reservation sees it) and the acquire edge the
+        // worker's lag load pairs with.
+        let seq = shard.pushes_enqueued.fetch_add(1, Ordering::AcqRel);
+        let cmd = Cmd::Push { id: id.0, chunk, seq, req: request_id, timer: Stopwatch::start() };
+        let verdict = self.enqueue(id, cmd);
+        if verdict != SubmitVerdict::Enqueued {
+            // The reservation was never enqueued; return it so the backlog
+            // clock does not drift on rejected submissions.
+            // ordering: AcqRel — pairs with the reservation above.
+            shard.pushes_enqueued.fetch_sub(1, Ordering::AcqRel);
+        }
+        verdict
     }
 
     /// First shed after a clean period latches and triggers a flight dump;
@@ -639,8 +654,7 @@ impl SessionManager {
         let Err(err) = sent else {
             return SubmitVerdict::Enqueued;
         };
-        shard.depth.fetch_sub(1, Ordering::AcqRel);
-        self.shared.metrics.queue_depth.dec();
+        shard.untrack(&self.shared.metrics);
         match err {
             TrySendError::Full(_) => SubmitVerdict::QueueFull {
                 retry_after_chunks: shard.depth.load(Ordering::Acquire).max(1),
@@ -911,6 +925,13 @@ struct Worker {
     shared: Arc<Shared>,
     queue: Arc<ShardQueue>,
     rx: Receiver<Cmd>,
+    /// The drained batch's commands not yet taken, in queue order; they
+    /// still count in the shard's `depth`.
+    batch: VecDeque<Cmd>,
+    /// The id of the `Open` being handled. The admission slot `submit`
+    /// reserved for it is this worker's until the session enters
+    /// `sessions` (or a re-open hands it back).
+    opening: Option<u64>,
     /// This worker's shard number, for artifact names and introspection.
     shard_index: usize,
     /// Live sessions pinned to this shard (ordered map: deterministic
@@ -963,23 +984,23 @@ impl Worker {
         // changes cache behaviour (one shared DSP scratch pass over N
         // sessions' pushes) but never the output or the quiesce contract.
         let batch_max = self.shared.config.batch_max;
-        let mut batch: Vec<Cmd> = Vec::with_capacity(batch_max);
         while let Ok(first) = self.rx.recv() {
-            batch.push(first);
-            while batch.len() < batch_max {
+            self.batch.push_back(first);
+            while self.batch.len() < batch_max {
                 match self.rx.try_recv() {
-                    Ok(cmd) => batch.push(cmd),
+                    Ok(cmd) => self.batch.push_back(cmd),
                     Err(_) => break,
                 }
             }
             self.shared.metrics.batch_drains.inc();
-            for cmd in batch.drain(..) {
-                // ordering: AcqRel pairs with the manager's enqueue increment, so the
-                // observed depth never dips below zero mid-handoff.
-                self.queue.depth.fetch_sub(1, Ordering::AcqRel);
-                self.shared.metrics.queue_depth.dec();
+            while let Some(cmd) = self.batch.pop_front() {
+                self.queue.untrack(&self.shared.metrics);
                 match cmd {
-                    Cmd::Open { id, req } => self.handle_open(id, req),
+                    Cmd::Open { id, req } => {
+                        self.opening = Some(id);
+                        self.handle_open(id, req);
+                        self.opening = None;
+                    }
                     Cmd::Push { id, chunk, seq, req, timer } => {
                         self.handle_push(id, &chunk, seq, req, timer);
                     }
@@ -1414,6 +1435,36 @@ impl Worker {
             self.dump_flight(FlightReason::ReapChurn);
         }
         self.churn_window = 0;
+    }
+}
+
+/// A worker that panics leaves what it never ran: the rest of its batch,
+/// the commands still queued, the `Open` it may have been running, and
+/// its live sessions. Unwinding through here takes each of those
+/// commands off `depth` and the queue gauge, hands back the admission
+/// slot each of those opens reserved, and releases one slot per live
+/// session, so a dead shard shows no backlog that will never drain and no
+/// sessions that will never finish. A normal exit (shutdown, with or
+/// without the store drain) has run every command and leaves its live
+/// sessions counted; nothing happens then. A command a racing submitter
+/// lands after the last `try_recv` here is dropped with the receiver and
+/// stays counted.
+impl Drop for Worker {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let (queue, shared) = (&self.queue, &self.shared);
+        for cmd in self.batch.drain(..).chain(self.rx.try_iter()) {
+            queue.untrack(&shared.metrics);
+            if matches!(cmd, Cmd::Open { .. }) {
+                shared.release();
+            }
+        }
+        let opening = self.opening.filter(|id| !self.sessions.contains_key(id));
+        for _ in 0..self.sessions.len() + usize::from(opening.is_some()) {
+            shared.release();
+        }
     }
 }
 
@@ -2036,12 +2087,9 @@ mod tests {
         assert_eq!(m.metrics().thaw_failures.get(), 1);
     }
 
-    /// A store whose reads fail: `remove` returns an I/O error, or panics
-    /// when `panics` is set.
+    /// A store whose reads fail: `remove` returns an I/O error.
     #[derive(Debug)]
-    struct BrokenStore {
-        panics: bool,
-    }
+    struct BrokenStore;
 
     impl SnapshotStore for BrokenStore {
         fn put(&self, _: u64, _: Vec<u8>) -> Result<(), echowrite_snapshot::StoreError> {
@@ -2049,8 +2097,38 @@ mod tests {
         }
 
         fn remove(&self, _: u64) -> Result<Option<Vec<u8>>, echowrite_snapshot::StoreError> {
-            assert!(!self.panics, "store read panicked");
             Err(echowrite_snapshot::StoreError::Io(std::io::Error::other("disk gone")))
+        }
+
+        fn contains(&self, _: u64) -> Result<bool, echowrite_snapshot::StoreError> {
+            Ok(false)
+        }
+
+        fn sessions(&self) -> Result<Vec<u64>, echowrite_snapshot::StoreError> {
+            Ok(Vec::new())
+        }
+    }
+
+    /// A store whose `remove` of one id panics once the test has sent
+    /// `go`, killing the shard worker mid-command; every other id reads as
+    /// "no snapshot".
+    #[derive(Debug)]
+    struct PanicsOnRead {
+        id: u64,
+        go: Mutex<Receiver<()>>,
+    }
+
+    impl SnapshotStore for PanicsOnRead {
+        fn put(&self, _: u64, _: Vec<u8>) -> Result<(), echowrite_snapshot::StoreError> {
+            Ok(())
+        }
+
+        fn remove(&self, id: u64) -> Result<Option<Vec<u8>>, echowrite_snapshot::StoreError> {
+            if id == self.id {
+                let _ = self.go.lock().unwrap_or_else(|e| e.into_inner()).recv();
+                panic!("store read panicked");
+            }
+            Ok(None)
         }
 
         fn contains(&self, _: u64) -> Result<bool, echowrite_snapshot::StoreError> {
@@ -2068,7 +2146,7 @@ mod tests {
     #[test]
     fn failed_store_reads_count_as_thaw_failures() {
         let cfg = ServeConfig { shards: Parallelism::Threads(1), ..ServeConfig::default() };
-        let store = Arc::new(BrokenStore { panics: false });
+        let store = Arc::new(BrokenStore);
         let m =
             SessionManager::with_snapshot_store(snap_engine(), cfg, store).expect("valid config");
         let id = SessionId(5);
@@ -2088,7 +2166,9 @@ mod tests {
     #[test]
     fn quiesce_returns_when_a_shard_worker_has_died() {
         let cfg = ServeConfig { shards: Parallelism::Threads(1), ..ServeConfig::default() };
-        let store = Arc::new(BrokenStore { panics: true });
+        let (go, wait) = mpsc::channel();
+        go.send(()).expect("the store holds the receiver");
+        let store = Arc::new(PanicsOnRead { id: 3, go: Mutex::new(wait) });
         let m = Arc::new(
             SessionManager::with_snapshot_store(snap_engine(), cfg, store).expect("valid config"),
         );
@@ -2105,6 +2185,59 @@ mod tests {
             .expect("quiesce must return when a shard worker has died");
         waiter.join().expect("the quiesce thread does not panic");
         assert_eq!(m.push(SessionId(3), &[0.0; 1024]), SubmitVerdict::Shedding);
+    }
+
+    /// A dead shard leaves no phantom backlog and no phantom sessions:
+    /// once its worker has panicked — in a push's store read, or in an
+    /// open's — the commands it never ran are off the queue gauge, and the
+    /// session it held and the opens it never finished no longer hold
+    /// admission slots.
+    #[test]
+    fn a_dead_shard_leaves_no_backlog_and_no_live_sessions() {
+        for panics_in_open in [false, true] {
+            dies_with_clean_books(panics_in_open);
+        }
+    }
+
+    fn dies_with_clean_books(panics_in_open: bool) {
+        let cfg = ServeConfig { shards: Parallelism::Threads(1), ..ServeConfig::default() };
+        let (go, wait) = mpsc::channel();
+        let store = Arc::new(PanicsOnRead { id: 9, go: Mutex::new(wait) });
+        let m = Arc::new(
+            SessionManager::with_snapshot_store(snap_engine(), cfg, store).expect("valid config"),
+        );
+        let live = SessionId(1);
+        assert_eq!(m.open(live), SubmitVerdict::Enqueued);
+        m.quiesce();
+        // The worker takes this command and blocks in the store read for
+        // id 9; an open has already reserved its admission slot.
+        let doomed = SessionId(9);
+        let verdict = if panics_in_open { m.open(doomed) } else { m.push(doomed, &[0.0; 1024]) };
+        assert_eq!(verdict, SubmitVerdict::Enqueued);
+        for _ in 0..3 {
+            assert_eq!(m.push(live, &[0.0; 1024]), SubmitVerdict::Enqueued);
+        }
+        assert_eq!(m.open(SessionId(2)), SubmitVerdict::Enqueued);
+        let quiescer = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || m.quiesce())
+        };
+        let poll = |what: &str, done: &dyn Fn() -> bool| {
+            let give_up = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while !done() {
+                assert!(std::time::Instant::now() < give_up, "timed out waiting for {what}");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        };
+        // Three pushes, the open and the quiesce barrier wait behind it.
+        poll("the queued commands", &|| m.metrics().queue_depth.get() == 5);
+        assert_eq!(m.metrics().sessions_live.get(), 2 + u64::from(panics_in_open));
+        go.send(()).expect("the store read is waiting");
+        poll("the worker to die", &|| m.dead_shards() == 1);
+        quiescer.join().expect("quiesce returns");
+        assert_eq!(m.metrics().queue_depth.get(), 0, "no phantom backlog");
+        assert_eq!(m.metrics().sessions_live.get(), 0, "no phantom sessions");
+        assert_eq!(m.live_sessions(), 0);
     }
 
     /// `SuspendToStore` without a store is a construction error, not a

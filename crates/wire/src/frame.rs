@@ -322,6 +322,13 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
+/// Appends a push's samples as little-endian IEEE-754 bit patterns: the
+/// buffer grows once, then one pass converts every sample.
+fn put_samples(out: &mut Vec<u8>, samples: &[f64]) {
+    out.reserve(samples.len() * 8);
+    out.extend(samples.iter().flat_map(|s| s.to_le_bytes()));
+}
+
 /// Little-endian payload cursor; every read is length-checked so a
 /// truncated payload surfaces as an error, never a panic.
 struct Cursor<'a> {
@@ -402,9 +409,7 @@ pub fn encode_request(out: &mut Vec<u8>, request: &Request, request_id: u64) {
             put_u64(p, request_id);
             put_u64(p, *session);
             put_u32(p, samples.len() as u32);
-            for &s in samples {
-                put_f64(p, s);
-            }
+            put_samples(p, samples);
         }),
         Request::Finish { session } => encode_frame(out, KIND_FINISH, |p| {
             put_u64(p, request_id);
@@ -509,10 +514,17 @@ fn decode_request(kind: u8, payload: &[u8]) -> Result<(u64, Request), FrameError
             if payload.len() != 8 + 8 + 4 + n * 8 {
                 return Err(FrameError::Truncated { kind });
             }
-            let mut samples = Vec::with_capacity(n);
-            for _ in 0..n {
-                samples.push(c.f64()?);
-            }
+            // One pass from the payload's bytes into a buffer allocated
+            // once (`chunks_exact` knows its length).
+            let samples = c
+                .take(n * 8)?
+                .chunks_exact(8)
+                .map(|b| {
+                    let mut a = [0u8; 8];
+                    a.copy_from_slice(b);
+                    f64::from_le_bytes(a)
+                })
+                .collect();
             Request::Push { session, samples }
         }
         KIND_FINISH => Request::Finish { session: c.u64()? },

@@ -254,10 +254,11 @@ fn read_loop(
                     session,
                     manager.submit_tagged(Request::Open(SessionId(session)), request_id),
                 ),
-                WireRequest::Push { ref samples, .. } => Response::from_verdict(
+                // The decoded chunk moves into the shard queue uncopied.
+                WireRequest::Push { samples, .. } => Response::from_verdict(
                     request_id,
                     session,
-                    manager.submit_tagged(Request::Push(SessionId(session), samples), request_id),
+                    manager.submit_push(SessionId(session), samples, request_id),
                 ),
                 WireRequest::Finish { .. } => Response::from_verdict(
                     request_id,

@@ -415,7 +415,9 @@ fn shedding_verdict_propagates_over_wire() {
 }
 
 /// Wire trace correlation: every verdict echoes the client-assigned
-/// request id, so client- and server-side traces stitch 1:1.
+/// request id, so client- and server-side traces stitch 1:1 — also when a
+/// whole session is pipelined without reading, where the verdicts keep
+/// request order and the transcript still equals the oracle bitwise.
 #[test]
 fn verdicts_echo_client_assigned_request_ids() {
     let server = start_server();
@@ -441,6 +443,43 @@ fn verdicts_echo_client_assigned_request_ids() {
         None,
         "event frames carry no request id"
     );
+
+    // Pipelined: a whole session — Open, every Push, Finish — goes out
+    // before anything is read, so the server's reader decodes several push
+    // frames out of one socket read and moves each into the shard queue.
+    // One session stays far under the shard queue, so nothing is refused.
+    let (audio, want) = &sessions()[2];
+    let id = 32u64;
+    let mut requests = vec![Request::Open { session: id }];
+    requests.extend(
+        audio.chunks(CHUNK).map(|c| Request::Push { session: id, samples: c.to_vec() }),
+    );
+    requests.push(Request::Finish { session: id });
+    let ids: Vec<u64> = (0..requests.len() as u64).map(|k| 7_000 + k).collect();
+    for (req, &req_id) in requests.iter().zip(&ids) {
+        client.send_with_id(req, req_id).expect("pipelined send");
+    }
+    let (mut verdicts, mut rows, mut finished) = (Vec::new(), Vec::<Row>::new(), false);
+    while verdicts.len() < requests.len() || !finished {
+        match client.recv().expect("a whole frame") {
+            Response::Enqueued { request_id, session } => {
+                assert_eq!(session, id);
+                verdicts.push(request_id);
+            }
+            Response::Segment { session, start_frame, end_frame, classification } => {
+                assert_eq!(session, id);
+                let cls = classification.expect("no degradation configured");
+                rows.push((start_frame, end_frame, cls.stroke, cls.scores));
+            }
+            Response::Finished { session } => {
+                assert_eq!(session, id);
+                finished = true;
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    assert_eq!(verdicts, ids, "one verdict per request, in request order");
+    assert_eq!(&rows, want, "pipelined wire transcript diverged");
     drop(client);
     server.shutdown();
 }
